@@ -31,6 +31,7 @@ __all__ = [
     "WeightTransform",
     "DuplicatePairError",
     "build_expanded_graph",
+    "expand_screened",
     "transform_costs",
     "project_matching",
 ]
@@ -115,10 +116,15 @@ def build_expanded_graph(inst: Instance) -> ExpandedGraph:
     report = validate_instance(inst)
     if not report.feasible_necessary:
         raise ValueError("cannot expand an invalid instance: " + "; ".join(report.violations))
-    _, tr = transform_costs(inst)
+    return expand_screened(inst, max(map(max, inst.cost)))
+
+
+def expand_screened(inst: Instance, c_max: int) -> ExpandedGraph:
+    """``build_expanded_graph`` without its screen, for an instance that
+    already passed ``validate_instance`` and whose largest cost is ``c_max``."""
     return ExpandedGraph(
         instance=inst,
-        transform=tr,
+        transform=WeightTransform(c_max=c_max, offset=c_max + 1),
         a_demand_quota=inst.a_demand,
         a_surplus_quota=tuple(c - d for d, c in zip(inst.a_demand, inst.a_capacity)),
         b_demand_quota=inst.b_demand,

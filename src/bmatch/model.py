@@ -23,6 +23,7 @@ __all__ = [
     "ValidationReport",
     "validate_instance",
     "normalize_instance",
+    "clip_capacities",
     "assignment_cost",
     "make_assignment",
     "instance_to_json",
@@ -181,6 +182,12 @@ def normalize_instance(inst: Instance) -> Instance:
     report = validate_instance(inst)
     if not report.feasible_necessary:
         raise ValueError("instance has hard violations: " + "; ".join(report.violations))
+    return clip_capacities(inst)
+
+
+def clip_capacities(inst: Instance) -> Instance:
+    """``normalize_instance`` without its screen, for an instance that
+    already passed ``validate_instance``."""
     return Instance(
         s=inst.s,
         t=inst.t,

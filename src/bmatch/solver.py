@@ -30,6 +30,12 @@ Two phases, mirroring the two vertex sides:
 * Phase 2 roots at every column whose demand is still unmet and searches
   backward to the pool, entering through spare row capacity.
 
+Both phases run one search, ``grow_forest``: phase 2 is the phase-1
+Dijkstra run on the reversed residual graph, with rows and columns
+trading roles (the successive-shortest-path scheme of Ahuja, Magnanti &
+Orlin, *Network Flows*, 1993, ch. 9).  Building the ``SolverState`` is
+the one input screen of a solve.
+
 Paths may pass through the pool (park one unit, feed another), so a
 single augmentation can add more than one pair; this is required for
 optimality, not an optimization.  After the phases a zero-cost cleanup
@@ -46,8 +52,8 @@ from typing import Callable
 
 import numpy as np
 
-from .expansion import CopyRef, ExpandedGraph, build_expanded_graph, project_matching
-from .model import Assignment, Instance, normalize_instance, validate_instance
+from .expansion import CopyRef, ExpandedGraph, expand_screened, project_matching
+from .model import Assignment, Instance, clip_capacities, validate_instance
 
 __all__ = [
     "INF",
@@ -244,11 +250,71 @@ class SolveReport:
     wall_time_ms: float
 
 
+def _check_exact_domain(inst: Instance, c_max: int) -> None:
+    """Reject costs for which a solve's int64 arithmetic could wrap.
+
+    Let C = ``c_max`` and P = min(sum a_capacity, sum b_capacity) on the
+    clipped instance, so no matching has more than P pairs.  Write the
+    potentials as one node label phi: ``p[i]`` on rows, ``-q[j]`` on
+    columns, ``-mu`` on the pool.  A residual arc u->v then has reduced
+    cost ``cost(u, v) - phi[u] + phi[v]``, with cost c_ij on a match, -c_ij
+    on an unmatch and 0 on a pool arc, so a path's reduced length D is
+    its cost plus the label difference of its ends.  Labels start in
+    [0, C].  A phase-1 update lowers every label by min(dist, D), which
+    lies in [0, D]; a phase-2 update raises it by the same amount.
+
+    * Phase 1.  Every column still short of demand (its demand count only
+      grows at a path's end) and the pool, while park budget remains, is
+      a possible finish, so its dist is at least D and it drops by
+      exactly D.  These started at 0, so they sit at -S1, S1 being the sum
+      of D so far; the root row sits at -S1 or above.  Hence
+      D <= cost(path), and S1 is at most the phase-1 matching cost.
+    * Phase 2.  The pool always finishes, so it rises by exactly D.  The
+      root column was short of demand all through phase 1, so it ended
+      phase 1 at -S1, not above the pool, and has risen no more than the
+      pool since.  Hence again D <= cost(path), and S2 is at most the cost
+      phase 2 adds.
+    * So every label lies in [-S1, C + S2] with S1 + S2 <= P*C, and every
+      potential, or difference of two, is at most K = (P + 1)*C in size.
+
+    Then settled distances are at most min(s, t)*C + K and tentative ones
+    at most that plus one arc, C + K; ``INF + K`` fits in int64; each term
+    of the dual objective is at most K and its partial sums at most
+    s*t*K; the matched cost is at most P*C.  All of it holds when
+    2*s*t*C*(P + s + t + 1) < 2**62 = INF, which is checked here in
+    Python integers, before any numpy conversion.
+    """
+    s, t = inst.s, inst.t
+    pairs = min(sum(inst.a_capacity), sum(inst.b_capacity))
+    if 2 * s * t * c_max * (pairs + s + t + 1) >= INF:
+        raise ValueError(
+            f"costs up to {c_max} on a {s}x{t} instance with up to {pairs} pairs can "
+            "overflow 64-bit arithmetic; the exact domain needs "
+            "2*s*t*max_cost*(pairs + s + t + 1) < 2**62"
+        )
+
+
 class SolverState:
-    """Matching plus dual potentials; owns all mutable state of one solve."""
+    """Matching plus dual potentials; owns all mutable state of one solve.
+
+    Construction is the solver's one screen: malformed input raises
+    ``ValueError``, unsatisfiable bounds ``InfeasibleInstanceError``, and
+    costs outside the exact int64 domain ``ValueError``.  ``inst`` is the
+    normalized instance (capacities clipped to the opposite side size).
+    """
 
     def __init__(self, inst: Instance):
-        self.graph = build_expanded_graph(inst)
+        report = validate_instance(inst)
+        if not report.feasible_necessary:
+            if any(v.startswith(_HARD_PREFIXES) for v in report.violations):
+                raise ValueError("malformed instance: " + "; ".join(report.violations))
+            raise InfeasibleInstanceError(
+                "instance bounds cannot be satisfied: " + "; ".join(report.violations)
+            )
+        inst = clip_capacities(inst)
+        c_max = max(map(max, inst.cost))
+        _check_exact_domain(inst, c_max)
+        self.graph = expand_screened(inst, c_max)
         self.inst = inst
         self.matching = CapacitatedMatching.empty(self.graph)
         self.c = np.asarray(inst.cost, dtype=np.int64)
@@ -388,16 +454,123 @@ def grow_forest(state: SolverState, root: CopyRef) -> AugmentingPath:
     capacity.  Ties prefer finishing at a demand copy over a surplus
     copy, then the lowest index.  Raises ``InfeasibleInstanceError`` when
     no finish is reachable, with the reached vertex set as certificate.
+
+    Both directions run one Dijkstra.  It searches from side X (the
+    root's) across pairs to side Y and through the pool; a column root is
+    the row case on transposed views, ``(c, matched, p, q, mu)`` becoming
+    ``(c.T, matched.T, q, p, -mu)``.  Node ids keep one layout (rows,
+    columns, pool) in both directions, so ties break the same way.
     """
-    if root[0] == "a":
-        if not is_free(root, state.matching):
-            raise ValueError(f"root {root!r} is not a free demand copy")
-        return _grow_row(state, root[1])
-    if root[0] == "b":
-        if not is_free(root, state.matching):
-            raise ValueError(f"root {root!r} is not a free demand copy")
-        return _grow_col(state, root[1])
-    raise ValueError(f"roots must be demand copies, got {root!r}")
+    if root[0] not in ("a", "b"):
+        raise ValueError(f"roots must be demand copies, got {root!r}")
+    if not is_free(root, state.matching):
+        raise ValueError(f"root {root!r} is not a free demand copy")
+    s, t = state.s, state.t
+    pool = s + t
+    m = state.matching
+    fed = m.deg_a - m.routed
+    # Per side: a spare surplus slot the pool can feed, and an optional
+    # match that can go back to the pool.
+    row_spare, row_ret = fed < state.alpha_cap - state.alpha, fed > 0
+    col_spare, col_ret = m.parked < state.beta_cap - state.beta, m.parked > 0
+    forward = root[0] == "a"
+    if forward:
+        c, matched, px, py, mu = state.c, m.matched, state.p, state.q, state.mu
+        x0, y0, other = 0, s, "b"
+        x_spare, x_ret, y_spare, y_ret = row_spare, row_ret, col_spare, col_ret
+        y_short = (m.deg_b - m.parked) < state.beta  # columns that still need partners
+        pool_ends = state.park_budget > 0
+    else:
+        c, matched, px, py, mu = state.c.T, m.matched.T, state.q, state.p, -state.mu
+        x0, y0, other = s, 0, "a"
+        x_spare, x_ret, y_spare, y_ret = col_spare, col_ret, row_spare, row_ret
+        y_short = np.zeros(s, dtype=bool)
+        pool_ends = True
+    X = slice(x0, x0 + len(px))
+    Y = slice(y0, y0 + len(py))
+
+    dist = np.full(pool + 1, INF, dtype=np.int64)
+    parent = np.full(pool + 1, -1, dtype=np.int64)
+    settled = np.zeros(pool + 1, dtype=bool)
+    dist[x0 + root[1]] = 0
+
+    def relax(blk: slice, ok: np.ndarray, nd: np.ndarray, v: int) -> None:
+        ok = ok & (~settled[blk]) & (nd < dist[blk])
+        dist[blk][ok] = nd[ok]
+        parent[blk][ok] = v
+
+    def relax_pool(nd: int, v: int) -> None:
+        if not settled[pool] and nd < dist[pool]:
+            dist[pool] = nd
+            parent[pool] = v
+
+    while True:
+        cand = np.where(settled, INF, dist)
+        v = int(cand.argmin())
+        dv = int(cand[v])
+        if dv >= INF:
+            raise _stuck(state, root, settled)
+        settled[v] = True
+        if v == pool:
+            if pool_ends:
+                break
+            # Pool without park budget left: pass through it.
+            relax(X, x_spare, dv + (mu + px), v)
+            relax(Y, y_ret, dv + (mu - py), v)
+        elif X.start <= v < X.stop:
+            x = v - x0
+            relax(Y, ~matched[x], dv + (c[x] - px[x] - py), v)
+            if x_ret[x]:
+                relax_pool(dv - int(px[x]) - mu, v)
+        else:
+            y = v - y0
+            if y_short[y]:
+                break  # a column that still needs partners: finish here
+            relax(X, matched[:, y], dv + (px + py[y] - c[:, y]), v)
+            if y_spare[y]:
+                relax_pool(dv + int(py[y]) - mu, v)
+
+    D = int(dist[v])
+    dx, dy = dist[X], dist[Y]
+    # Finishing costs per copy, INF where that copy cannot end the path.
+    y_demand = np.where(y_short & (dy < INF), dy, INF)
+    y_surplus = np.where(y_spare & (dy < INF) & pool_ends, dy + (py - mu), INF)
+    x_surplus = np.where(x_ret & (dx < INF) & pool_ends, dx + (-px - mu), INF)
+    if v == pool:
+        # Choose the finishing arc into the pool: the other side's spare
+        # slot first, lowest index, then this side's optional match.
+        for finish, first, group in ((y_surplus, y0, other), (x_surplus, x0, root[0])):
+            hits = np.flatnonzero(finish == D)
+            if hits.size:
+                leaf: CopyRef = (group + "'", int(hits[0]))
+                parent[pool] = first + leaf[1]
+                break
+        else:
+            raise InternalSolverError("pool finish without a finishing arc")
+    else:
+        leaf = (other, v - y0)
+
+    chain = _reconstruct(parent, v)  # terminal -> root
+    forest = AlternatingForest(
+        root=root,
+        orientation="row" if forward else "col",
+        dist=tuple(dist.tolist()),
+        parent=tuple(parent.tolist()),
+        settled=tuple(settled.tolist()),
+        slack=tuple(y_demand.tolist()) + tuple(y_surplus.tolist()),
+        a_side_finish=tuple(x_surplus.tolist()) if forward else (),
+        terminal=v,
+        terminal_dist=D,
+    )
+    return AugmentingPath(
+        root=root,
+        leaf=leaf,
+        # Both chains list nodes in arc direction: root -> leaf forward,
+        # pool -> root on the reversed graph.
+        steps=_steps_from_chain(chain[::-1] if forward else chain, s, t),
+        finished_at_pool=forward and v == pool,
+        forest=forest,
+    )
 
 
 def _stuck(state: SolverState, root: CopyRef, settled: np.ndarray) -> InfeasibleInstanceError:
@@ -412,216 +585,6 @@ def _stuck(state: SolverState, root: CopyRef, settled: np.ndarray) -> Infeasible
         f"leaves the reachable set {reached}",
         root=root,
         reached=reached,
-    )
-
-
-def _grow_row(state: SolverState, r: int) -> AugmentingPath:
-    s, t = state.s, state.t
-    pool = s + t
-    m = state.matching
-    c, p, q, mu = state.c, state.p, state.q, state.mu
-    fed = m.deg_a - m.routed
-    park_open = m.parked < (state.beta_cap - state.beta)
-    feed_open = fed < (state.alpha_cap - state.alpha)
-    covered = m.deg_b - m.parked
-
-    dist = np.full(pool + 1, INF, dtype=np.int64)
-    parent = np.full(pool + 1, -1, dtype=np.int64)
-    settled = np.zeros(pool + 1, dtype=bool)
-    dist[r] = 0
-    terminal = -1
-
-    while True:
-        cand = np.where(settled, INF, dist)
-        v = int(cand.argmin())
-        dv = int(cand[v])
-        if dv >= INF:
-            raise _stuck(state, ("a", r), settled)
-        settled[v] = True
-        if s <= v < pool and covered[v - s] < state.beta[v - s]:
-            terminal = v  # a column that still needs partners: finish here
-            break
-        if v == pool and state.park_budget > 0:
-            terminal = v
-            break
-        if v < s:
-            i = v
-            nd = dv + (c[i] - p[i] - q)
-            blk = slice(s, pool)
-            ok = (~m.matched[i]) & (~settled[blk]) & (nd < dist[blk])
-            dist[blk][ok] = nd[ok]
-            parent[blk][ok] = i
-            if fed[i] > 0 and not settled[pool]:
-                ndp = dv + (-int(p[i]) - mu)
-                if ndp < dist[pool]:
-                    dist[pool] = ndp
-                    parent[pool] = i
-        elif v < pool:
-            j = v - s
-            nd = dv + (p + int(q[j]) - c[:, j])
-            blk = slice(0, s)
-            ok = m.matched[:, j] & (~settled[blk]) & (nd < dist[blk])
-            dist[blk][ok] = nd[ok]
-            parent[blk][ok] = v
-            if park_open[j] and not settled[pool]:
-                ndp = dv + (int(q[j]) - mu)
-                if ndp < dist[pool]:
-                    dist[pool] = ndp
-                    parent[pool] = v
-        else:
-            # Pool without park budget left: pass through it.
-            nd = dv + (mu + p)
-            ok = feed_open & (~settled[:s]) & (nd < dist[:s])
-            dist[:s][ok] = nd[ok]
-            parent[:s][ok] = pool
-            nd = dv + (mu - q)
-            blk = slice(s, pool)
-            ok = (m.parked > 0) & (~settled[blk]) & (nd < dist[blk])
-            dist[blk][ok] = nd[ok]
-            parent[blk][ok] = pool
-
-    D = int(dist[terminal])
-    # Finishing-cost views per column copy (doubled layout), for inspection.
-    db = dist[s:pool]
-    slack_demand = np.where((covered < state.beta) & (db < INF), db, INF)
-    park_cost = db + (q - mu)
-    slack_surplus = np.where(
-        park_open & (db < INF) & (state.park_budget > 0), park_cost, INF
-    )
-    a_finish = np.where(
-        (fed > 0) & (dist[:s] < INF) & (state.park_budget > 0),
-        dist[:s] + (-p - mu),
-        INF,
-    )
-
-    if terminal == pool:
-        # Choose the finishing copy: spare column slots first, lowest index,
-        # then returnable row matches.
-        leaf: CopyRef | None = None
-        for j in range(t):
-            if park_open[j] and dist[s + j] < INF and dist[s + j] + int(q[j]) - mu == D:
-                leaf = ("b'", j)
-                parent[pool] = s + j
-                break
-        if leaf is None:
-            for i in range(s):
-                if fed[i] > 0 and dist[i] < INF and dist[i] - int(p[i]) - mu == D:
-                    leaf = ("a'", i)
-                    parent[pool] = i
-                    break
-        if leaf is None:
-            raise InternalSolverError("pool finish without a finishing arc")
-    else:
-        leaf = ("b", terminal - s)
-
-    chain = _reconstruct(parent, terminal)[::-1]  # root -> terminal, arc direction
-    forest = AlternatingForest(
-        root=("a", r),
-        orientation="row",
-        dist=tuple(int(x) for x in dist),
-        parent=tuple(int(x) for x in parent),
-        settled=tuple(bool(x) for x in settled),
-        slack=tuple(int(x) for x in slack_demand) + tuple(int(x) for x in slack_surplus),
-        a_side_finish=tuple(int(x) for x in a_finish),
-        terminal=terminal,
-        terminal_dist=D,
-    )
-    return AugmentingPath(
-        root=("a", r),
-        leaf=leaf,
-        steps=_steps_from_chain(chain, s, t),
-        finished_at_pool=(terminal == pool),
-        forest=forest,
-    )
-
-
-def _grow_col(state: SolverState, jr: int) -> AugmentingPath:
-    s, t = state.s, state.t
-    pool = s + t
-    m = state.matching
-    c, p, q, mu = state.c, state.p, state.q, state.mu
-    fed = m.deg_a - m.routed
-    feed_open = fed < (state.alpha_cap - state.alpha)
-
-    # Backward search: dist[v] = cheapest reduced cost of a forward path
-    # v -> ... -> root column.  Terminal is the pool (the unit source).
-    dist = np.full(pool + 1, INF, dtype=np.int64)
-    parent = np.full(pool + 1, -1, dtype=np.int64)  # next hop toward the root
-    settled = np.zeros(pool + 1, dtype=bool)
-    dist[s + jr] = 0
-
-    while True:
-        cand = np.where(settled, INF, dist)
-        v = int(cand.argmin())
-        dv = int(cand[v])
-        if dv >= INF:
-            raise _stuck(state, ("b", jr), settled)
-        settled[v] = True
-        if v == pool:
-            break
-        if s <= v < pool:
-            j = v - s
-            nd = dv + (c[:, j] - p - int(q[j]))
-            blk = slice(0, s)
-            ok = (~m.matched[:, j]) & (~settled[blk]) & (nd < dist[blk])
-            dist[blk][ok] = nd[ok]
-            parent[blk][ok] = v
-            if m.parked[j] > 0 and not settled[pool]:
-                ndp = dv + (mu - int(q[j]))
-                if ndp < dist[pool]:
-                    dist[pool] = ndp
-                    parent[pool] = v
-        else:
-            i = v
-            nd = dv + (int(p[i]) + q - c[i])
-            blk = slice(s, pool)
-            ok = m.matched[i] & (~settled[blk]) & (nd < dist[blk])
-            dist[blk][ok] = nd[ok]
-            parent[blk][ok] = i
-            if feed_open[i] and not settled[pool]:
-                ndp = dv + (mu + int(p[i]))
-                if ndp < dist[pool]:
-                    dist[pool] = ndp
-                    parent[pool] = i
-
-    D = int(dist[pool])
-    # Entry arc out of the pool: spare row capacity first, lowest index,
-    # then parked column units.
-    leaf: CopyRef | None = None
-    for i in range(s):
-        if feed_open[i] and dist[i] < INF and dist[i] + mu + int(p[i]) == D:
-            leaf = ("a'", i)
-            parent[pool] = i
-            break
-    if leaf is None:
-        for j in range(t):
-            if m.parked[j] > 0 and dist[s + j] < INF and dist[s + j] + mu - int(q[j]) == D:
-                leaf = ("b'", j)
-                parent[pool] = s + j
-                break
-    if leaf is None:
-        raise InternalSolverError("pool finish without a finishing arc")
-
-    da = dist[:s]
-    slack_surplus = np.where(feed_open & (da < INF), da + (mu + p), INF)
-    chain = _reconstruct(parent, pool)  # pool -> ... -> root, arc direction
-    forest = AlternatingForest(
-        root=("b", jr),
-        orientation="col",
-        dist=tuple(int(x) for x in dist),
-        parent=tuple(int(x) for x in parent),
-        settled=tuple(bool(x) for x in settled),
-        slack=tuple([INF] * s) + tuple(int(x) for x in slack_surplus),
-        a_side_finish=(),
-        terminal=pool,
-        terminal_dist=D,
-    )
-    return AugmentingPath(
-        root=("b", jr),
-        leaf=leaf,
-        steps=_steps_from_chain(chain, s, t),
-        finished_at_pool=False,
-        forest=forest,
     )
 
 
@@ -683,47 +646,31 @@ def _prune_unneeded_pairs(state: SolverState) -> int:
     the optimum), so this never changes the total cost; a non-zero cost
     here means the solve was wrong and is raised loudly.  Afterwards every
     remaining pair leans on a demand slot on at least one side, which is
-    exactly what the copy allocation needs.
+    exactly what the copy allocation needs.  One pass in index order
+    suffices: dropping a pair only lowers degrees, so a pair kept once
+    can never become droppable later.
     """
     m = state.matching
     removed = 0
-    changed = True
-    while changed:
-        changed = False
-        for i, j in sorted(zip(*np.nonzero(m.matched), strict=True)):
-            i, j = int(i), int(j)
-            if m.deg_a[i] > state.alpha[i] and m.deg_b[j] > state.beta[j]:
-                if state.c[i, j] != 0:
-                    raise InternalSolverError(
-                        f"optimal matching carries a droppable pair ({i}, {j}) "
-                        f"of non-zero cost {int(state.c[i, j])}"
-                    )
-                m.matched[i, j] = False
-                m.deg_a[i] -= 1
-                m.deg_b[j] -= 1
-                m.parked[j] -= 1
-                removed += 1
-                changed = True
+    for i, j in zip(*np.nonzero(m.matched), strict=True):
+        i, j = int(i), int(j)
+        if m.deg_a[i] > state.alpha[i] and m.deg_b[j] > state.beta[j]:
+            if state.c[i, j] != 0:
+                raise InternalSolverError(
+                    f"optimal matching carries a droppable pair ({i}, {j}) "
+                    f"of non-zero cost {int(state.c[i, j])}"
+                )
+            m.matched[i, j] = False
+            m.deg_a[i] -= 1
+            m.deg_b[j] -= 1
+            m.parked[j] -= 1
+            removed += 1
     return removed
 
 
-def _screen(inst: Instance) -> Instance:
-    """Validate and normalize; malformed input raises ValueError,
-    unsatisfiable bounds raise InfeasibleInstanceError."""
-    report = validate_instance(inst)
-    if not report.feasible_necessary:
-        if any(v.startswith(_HARD_PREFIXES) for v in report.violations):
-            raise ValueError("malformed instance: " + "; ".join(report.violations))
-        raise InfeasibleInstanceError(
-            "instance bounds cannot be satisfied: " + "; ".join(report.violations)
-        )
-    return normalize_instance(inst)
-
-
-def _solve(inst: Instance, algorithm: str, observer: Callable[[SolverState], None] | None) -> tuple[Assignment, SolveReport]:
-    t0 = time.perf_counter()
-    norm = _screen(inst)
-    state = SolverState(norm)
+def _solve(
+    state: SolverState, algorithm: str, observer: Callable[[SolverState], None] | None, t0: float
+) -> tuple[Assignment, SolveReport]:
     m = state.matching
     ph1 = ph2 = 0
 
@@ -782,19 +729,27 @@ def solve_ga(
     Returns the optimal assignment and a report whose ``dual_objective``
     equals the cost (the optimality certificate).  Raises
     ``InfeasibleInstanceError`` when demands cannot be met and
-    ``ValueError`` on malformed input.  ``observer``, if given, is called
-    with the solver state after every augmentation.
+    ``ValueError`` on malformed input or costs outside the exact int64
+    domain (see ``SolverState``).
+
+    ``observer``, if given, is called after every augmentation with the
+    live ``SolverState``: the same object on every call, which the solve
+    keeps mutating and which after return holds the pruned matching.
+    Callers that want per-augmentation values must copy them inside the
+    call.
     """
-    return _solve(inst, "ga", observer)
+    t0 = time.perf_counter()
+    return _solve(SolverState(inst), "ga", observer, t0)
 
 
 def solve_lca(
     inst: Instance, observer: Callable[[SolverState], None] | None = None
 ) -> tuple[Assignment, SolveReport]:
     """solve_ga restricted to unit demands (every vertex needs exactly one
-    partner; capacities stay arbitrary).  Rejects other demand vectors."""
-    norm = _screen(inst)
-    if any(d != 1 for d in norm.a_demand) or any(d != 1 for d in norm.b_demand):
+    partner; capacities stay arbitrary).  Rejects other demand vectors.
+    ``observer`` receives the live state, as in ``solve_ga``."""
+    t0 = time.perf_counter()
+    state = SolverState(inst)
+    if any(d != 1 for d in state.inst.a_demand) or any(d != 1 for d in state.inst.b_demand):
         raise ValueError("this algorithm requires every demand to be exactly 1")
-    assignment, report = _solve(norm, "lca", observer)
-    return assignment, report
+    return _solve(state, "lca", observer, t0)

@@ -1,11 +1,18 @@
 """Shared helpers: seeded random instances for cross-checking solvers."""
 
+import os
 import random
+from pathlib import Path
 
 import pytest
 
 from bmatch import Instance
 from bmatch.oracles import feasibility_check
+
+# Tests that start `python -m bmatch` need the checkout's package too, which
+# pytest's `pythonpath` setting puts on this process's path only.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 def draw_instance(rng, max_s=4, max_t=4, cost_max=9, cap_max=3, demands_one=False):

@@ -77,6 +77,13 @@ class TestSolve:
         path = instance_file(inst([[5, 7]], [2], [2], [0, 0], [1, 1]))
         assert main(["solve", "--algorithm", "lca", path]) == EXIT_USAGE
 
+    def test_cost_outside_int64_domain_is_a_usage_error(self, instance_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        path = instance_file(inst([[2**63]], [1], [1], [1], [1]))
+        assert main(["solve", path]) == EXIT_USAGE
+        assert "overflow" in capsys.readouterr().err
+        assert not list(tmp_path.glob("bmatch-internal-*.json"))
+
     def test_internal_failure_dumps_fixture_and_exits_3(
         self, instance_file, capsys, monkeypatch, tmp_path
     ):

@@ -5,6 +5,10 @@ hand analysis; each one broke (or would break) a simpler augmenting
 strategy, so they are frozen verbatim.
 """
 
+import dataclasses
+import json
+import random
+
 import numpy as np
 import pytest
 
@@ -22,6 +26,7 @@ from bmatch import (
 )
 from conftest import draw_feasible
 from bmatch.oracles import brute_force_optimum, check_assignment
+from bmatch.solver import INF
 
 
 def inst(c, ad, ac, bd, bc):
@@ -222,6 +227,26 @@ class TestSearchPrimitives:
                 finished_at_pool=False, forest=probe.forest,
             ))
 
+    def test_forest_and_steps_are_plain_python_values(self):
+        # Trace consumers sum and serialize these fields; numpy scalars
+        # would break json.dumps.
+        def plain(x):
+            if isinstance(x, tuple):
+                return all(plain(y) for y in x)
+            return type(x) in (int, bool, str)
+
+        st = self.state()
+        row = grow_forest(st, ("a", 0))
+        augment(st.matching, row)
+        col = grow_forest(st, ("b", 1))
+        for path in (row, col):
+            f = path.forest
+            for field in dataclasses.fields(f):
+                assert plain(getattr(f, field.name)), field.name
+            assert plain(path.steps) and plain(path.leaf)
+            assert json.loads(json.dumps(sum(f.settled))) == sum(f.settled)
+        assert (row.forest.orientation, col.forest.orientation) == ("row", "col")
+
     def test_state_construction_rejects_unservable_vertex(self):
         with pytest.raises(ValueError):
             SolverState(inst([[1]], [1], [1], [0], [0]))
@@ -323,3 +348,34 @@ def test_wide_cost_range_stays_exact():
     asg, rep = solve_ga(fixture)
     assert asg.total_cost == 2
     assert rep.dual_objective == 2
+
+
+def test_costs_that_could_wrap_int64_are_rejected():
+    # Both used to fail inside the solve: 2**63 with OverflowError, and
+    # this 8x8 instance with "pruning changed the total cost" after the
+    # cost sum and the dual objective wrapped alike.
+    rng = random.Random(0)
+    cost = [[rng.randint(2**59, 2**60) for _ in range(8)] for _ in range(8)]
+    wraps = inst(cost, [3] * 8, [3] * 8, [0] * 8, [8] * 8)
+    for fixture in (wraps, inst([[2**63]], [1], [1], [1], [1])):
+        with pytest.raises(ValueError, match="overflow 64-bit") as err:
+            solve_ga(fixture)
+        assert not isinstance(err.value, InfeasibleInstanceError)
+
+
+def test_largest_in_domain_costs_stay_exact(rng):
+    # At the edge of the domain the solve must still match exact
+    # enumeration over Python ints.
+    for _ in range(30):
+        fixture = draw_feasible(rng, max_s=3, max_t=3)
+        s, t = fixture.s, fixture.t
+        pairs = min(sum(min(c, t) for c in fixture.a_capacity), sum(min(c, s) for c in fixture.b_capacity))
+        top = (INF - 1) // (2 * s * t * (pairs + s + t + 1))
+        bounds = (fixture.a_demand, fixture.a_capacity, fixture.b_demand, fixture.b_capacity)
+        cost = [[top - c for c in row] for row in fixture.cost]
+        asg, rep = solve_ga(inst(cost, *bounds))
+        assert asg.total_cost == brute_force_optimum(inst(cost, *bounds)).total_cost
+        assert rep.dual_objective == asg.total_cost
+        cost[0][0] = top + 1
+        with pytest.raises(ValueError, match="overflow"):
+            solve_ga(inst(cost, *bounds))
