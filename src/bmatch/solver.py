@@ -48,7 +48,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -101,7 +102,8 @@ class CapacitatedMatching:
     ``routed[i]`` counts row i's matches on its demand copy and
     ``parked[j]`` column j's matches on its surplus copy; the other two
     copy counts follow from the degrees.  ``num``/``quota`` expose the
-    four counter arrays per vertex copy.
+    four counter arrays per vertex copy.  ``cost`` and the capacities are
+    the instance's, as int64 arrays built once.
     """
 
     graph: ExpandedGraph
@@ -110,10 +112,14 @@ class CapacitatedMatching:
     deg_b: np.ndarray
     routed: np.ndarray
     parked: np.ndarray
+    cost: np.ndarray  # (s, t) int64
+    a_capacity: np.ndarray
+    b_capacity: np.ndarray
 
     @classmethod
     def empty(cls, graph: ExpandedGraph) -> "CapacitatedMatching":
-        s, t = graph.instance.s, graph.instance.t
+        inst = graph.instance
+        s, t = inst.s, inst.t
         return cls(
             graph=graph,
             matched=np.zeros((s, t), dtype=bool),
@@ -121,6 +127,9 @@ class CapacitatedMatching:
             deg_b=np.zeros(t, dtype=np.int64),
             routed=np.zeros(s, dtype=np.int64),
             parked=np.zeros(t, dtype=np.int64),
+            cost=np.asarray(inst.cost, dtype=np.int64),
+            a_capacity=np.asarray(inst.a_capacity, dtype=np.int64),
+            b_capacity=np.asarray(inst.b_capacity, dtype=np.int64),
         )
 
     @property
@@ -147,8 +156,7 @@ class CapacitatedMatching:
         return self.graph.quota(copy)
 
     def total_cost(self) -> int:
-        c = np.asarray(self.graph.instance.cost, dtype=np.int64)
-        return int(c[self.matched].sum())
+        return int(self.cost[self.matched].sum())
 
     def copy_pairs(self) -> tuple[tuple[CopyRef, CopyRef], ...]:
         """Allocate every matched pair to vertex copies, never surplus-surplus.
@@ -197,7 +205,8 @@ def is_free(copy: CopyRef, m: CapacitatedMatching) -> bool:
 
 @dataclass(frozen=True)
 class AlternatingForest:
-    """Snapshot of one augmenting search.
+    """Snapshot of one augmenting search, built on first read of
+    ``AugmentingPath.forest``.
 
     ``dist`` holds reduced-cost distances from the root over node ids
     0..s-1 (rows), s..s+t-1 (columns), s+t (pool); INF marks unreached.
@@ -219,15 +228,68 @@ class AlternatingForest:
     terminal_dist: int
 
 
+class _Search(NamedTuple):
+    """What one ``grow_forest`` search ends with, in its own arrays.
+
+    ``apply_potentials`` reads ``dist`` directly; ``snapshot`` builds the
+    plain-Python ``AlternatingForest``.  Nothing here is written after the
+    search returns: ``views`` holds copies of the potentials it reads.
+    """
+
+    root: CopyRef
+    orientation: str
+    dist: np.ndarray
+    parent: np.ndarray
+    settled: np.ndarray
+    terminal: int
+    terminal_dist: int
+    views: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+    def snapshot(self) -> AlternatingForest:
+        y_demand, y_surplus, x_surplus = self.views()
+        return AlternatingForest(
+            root=self.root,
+            orientation=self.orientation,
+            dist=tuple(self.dist.tolist()),
+            parent=tuple(self.parent.tolist()),
+            settled=tuple(self.settled.tolist()),
+            slack=tuple(y_demand.tolist()) + tuple(y_surplus.tolist()),
+            a_side_finish=tuple(x_surplus.tolist()) if self.orientation == "row" else (),
+            terminal=self.terminal,
+            terminal_dist=self.terminal_dist,
+        )
+
+
+class _BuiltOnFirstRead:
+    """``AugmentingPath.forest``: set to a ``_Search``, it keeps the search
+    (as ``_search``) and builds the forest from it on first read."""
+
+    def __get__(self, path: "AugmentingPath | None", owner: type | None = None) -> AlternatingForest:
+        if path is None:
+            raise AttributeError("forest")  # the field has no default
+        fields = path.__dict__
+        if "forest" not in fields:
+            fields["forest"] = fields["_search"].snapshot()
+        return fields["forest"]
+
+    def __set__(self, path: "AugmentingPath", value: "AlternatingForest | _Search") -> None:
+        path.__dict__["_search" if isinstance(value, _Search) else "forest"] = value
+
+
 @dataclass(frozen=True)
 class AugmentingPath:
-    """Ordered primal operations realizing one cheapest augmentation."""
+    """Ordered primal operations realizing one cheapest augmentation.
+
+    A path from ``grow_forest`` builds its ``forest`` snapshot on first
+    read, from the search's own arrays; reading it late gives the same
+    value as reading it at once.
+    """
 
     root: CopyRef
     leaf: CopyRef
     steps: tuple[tuple, ...]  # ("match"|"unmatch", i, j) / ("park"|"release", j) / ("feed"|"unfeed", i)
     finished_at_pool: bool
-    forest: AlternatingForest
+    forest: AlternatingForest = _BuiltOnFirstRead()  # type: ignore[assignment]
 
     @property
     def edges(self) -> tuple[tuple[int, int, bool], ...]:
@@ -316,12 +378,10 @@ class SolverState:
         _check_exact_domain(inst, c_max)
         self.graph = expand_screened(inst, c_max)
         self.inst = inst
-        self.matching = CapacitatedMatching.empty(self.graph)
-        self.c = np.asarray(inst.cost, dtype=np.int64)
+        self.matching = m = CapacitatedMatching.empty(self.graph)
+        self.c, self.alpha_cap, self.beta_cap = m.cost, m.a_capacity, m.b_capacity
         self.alpha = np.asarray(inst.a_demand, dtype=np.int64)
-        self.alpha_cap = np.asarray(inst.a_capacity, dtype=np.int64)
         self.beta = np.asarray(inst.b_demand, dtype=np.int64)
-        self.beta_cap = np.asarray(inst.b_capacity, dtype=np.int64)
         # Feasible initial duals: reduced costs start >= 0 everywhere.
         self.p = self.c.min(axis=1).astype(np.int64)
         self.q = np.zeros(inst.t, dtype=np.int64)
@@ -393,12 +453,16 @@ class SolverState:
         return value
 
     def apply_potentials(self, forest: AlternatingForest) -> None:
-        """Shift potentials so the augmenting path's arcs become tight."""
-        d = np.asarray(forest.dist, dtype=np.int64)
+        """Shift potentials so the augmenting path's arcs become tight.
+
+        ``forest`` is a path's ``AlternatingForest`` or, as in a solve, the
+        search it is built from on first read: that search's distance
+        array is read directly, so no snapshot is built here.
+        """
         cap = forest.terminal_dist
         if cap <= 0:
             return
-        shift = np.minimum(d, cap)
+        shift = np.minimum(np.asarray(forest.dist, dtype=np.int64), cap)
         if forest.orientation == "row":
             self.p -= shift[: self.s]
             self.q += shift[self.s : self.s + self.t]
@@ -469,21 +533,19 @@ def grow_forest(state: SolverState, root: CopyRef) -> AugmentingPath:
     pool = s + t
     m = state.matching
     fed = m.deg_a - m.routed
-    # Per side: a spare surplus slot the pool can feed, and an optional
-    # match that can go back to the pool.
-    row_spare, row_ret = fed < state.alpha_cap - state.alpha, fed > 0
-    col_spare, col_ret = m.parked < state.beta_cap - state.beta, m.parked > 0
     forward = root[0] == "a"
+    # x_ret: an optional match on side X that can go back to the pool;
+    # y_spare: a spare surplus slot on side Y that the pool can feed.
     if forward:
         c, matched, px, py, mu = state.c, m.matched, state.p, state.q, state.mu
         x0, y0, other = 0, s, "b"
-        x_spare, x_ret, y_spare, y_ret = row_spare, row_ret, col_spare, col_ret
+        x_ret, y_spare = fed > 0, m.parked < state.beta_cap - state.beta
         y_short = (m.deg_b - m.parked) < state.beta  # columns that still need partners
         pool_ends = state.park_budget > 0
     else:
         c, matched, px, py, mu = state.c.T, m.matched.T, state.q, state.p, -state.mu
         x0, y0, other = s, 0, "a"
-        x_spare, x_ret, y_spare, y_ret = col_spare, col_ret, row_spare, row_ret
+        x_ret, y_spare = m.parked > 0, fed < state.alpha_cap - state.alpha
         y_short = np.zeros(s, dtype=bool)
         pool_ends = True
     X = slice(x0, x0 + len(px))
@@ -514,9 +576,10 @@ def grow_forest(state: SolverState, root: CopyRef) -> AugmentingPath:
         if v == pool:
             if pool_ends:
                 break
-            # Pool without park budget left: pass through it.
-            relax(X, x_spare, dv + (mu + px), v)
-            relax(Y, y_ret, dv + (mu - py), v)
+            # Pool without park budget left (row roots only): pass
+            # through it into a row's spare slot or a parked column unit.
+            relax(X, fed < state.alpha_cap - state.alpha, dv + (mu + px), v)
+            relax(Y, m.parked > 0, dv + (mu - py), v)
         elif X.start <= v < X.stop:
             x = v - x0
             relax(Y, ~matched[x], dv + (c[x] - px[x] - py), v)
@@ -531,19 +594,17 @@ def grow_forest(state: SolverState, root: CopyRef) -> AugmentingPath:
                 relax_pool(dv + int(py[y]) - mu, v)
 
     D = int(dist[v])
-    dx, dy = dist[X], dist[Y]
-    # Finishing costs per copy, INF where that copy cannot end the path.
-    y_demand = np.where(y_short & (dy < INF), dy, INF)
-    y_surplus = np.where(y_spare & (dy < INF) & pool_ends, dy + (py - mu), INF)
-    x_surplus = np.where(x_ret & (dx < INF) & pool_ends, dx + (-px - mu), INF)
+    # The snapshot's finishing views, from copies of the potentials that
+    # apply_potentials later shifts in place.
+    views = partial(_finishing_views, dist, X, Y, y_short, y_spare, x_ret, px.copy(), py.copy(), mu, pool_ends)
     if v == pool:
         # Choose the finishing arc into the pool: the other side's spare
         # slot first, lowest index, then this side's optional match.
-        for finish, first, group in ((y_surplus, y0, other), (x_surplus, x0, root[0])):
-            hits = np.flatnonzero(finish == D)
+        for blk, ok, extra, group in ((Y, y_spare, py - mu, other), (X, x_ret, -px - mu, root[0])):
+            hits = np.flatnonzero(_finish_costs(dist[blk], ok, extra) == D)
             if hits.size:
                 leaf: CopyRef = (group + "'", int(hits[0]))
-                parent[pool] = first + leaf[1]
+                parent[pool] = blk.start + leaf[1]
                 break
         else:
             raise InternalSolverError("pool finish without a finishing arc")
@@ -551,17 +612,6 @@ def grow_forest(state: SolverState, root: CopyRef) -> AugmentingPath:
         leaf = (other, v - y0)
 
     chain = _reconstruct(parent, v)  # terminal -> root
-    forest = AlternatingForest(
-        root=root,
-        orientation="row" if forward else "col",
-        dist=tuple(dist.tolist()),
-        parent=tuple(parent.tolist()),
-        settled=tuple(settled.tolist()),
-        slack=tuple(y_demand.tolist()) + tuple(y_surplus.tolist()),
-        a_side_finish=tuple(x_surplus.tolist()) if forward else (),
-        terminal=v,
-        terminal_dist=D,
-    )
     return AugmentingPath(
         root=root,
         leaf=leaf,
@@ -569,8 +619,28 @@ def grow_forest(state: SolverState, root: CopyRef) -> AugmentingPath:
         # pool -> root on the reversed graph.
         steps=_steps_from_chain(chain[::-1] if forward else chain, s, t),
         finished_at_pool=forward and v == pool,
-        forest=forest,
+        forest=_Search(root, "row" if forward else "col", dist, parent, settled, v, D, views),
     )
+
+
+def _finishing_views(
+    dist: np.ndarray, X: slice, Y: slice, y_short: np.ndarray, y_spare: np.ndarray,
+    x_ret: np.ndarray, px: np.ndarray, py: np.ndarray, mu: int, pool_ends: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Finishing costs of side Y's demand copies, side Y's surplus copies
+    and side X's surplus copies."""
+    dx, dy = dist[X], dist[Y]
+    return (
+        _finish_costs(dy, y_short, 0),
+        _finish_costs(dy, y_spare & pool_ends, py - mu),
+        _finish_costs(dx, x_ret & pool_ends, -px - mu),
+    )
+
+
+def _finish_costs(d: np.ndarray, ok: np.ndarray, extra: np.ndarray | int) -> np.ndarray:
+    """Cost of ending the path at each copy: ``d + extra`` where the copy
+    can absorb it and is reached, INF elsewhere."""
+    return np.where(ok & (d < INF), d + extra, INF)
 
 
 def _stuck(state: SolverState, root: CopyRef, settled: np.ndarray) -> InfeasibleInstanceError:
@@ -632,9 +702,7 @@ def augment(m: CapacitatedMatching, path: AugmentingPath) -> CapacitatedMatching
         m.routed[r] += 1
         if m.routed[r] > inst.a_demand[r]:
             raise InternalSolverError(f"row {r} routed above its demand quota")
-    if np.any(m.deg_a > np.asarray(inst.a_capacity)) or np.any(
-        m.deg_b > np.asarray(inst.b_capacity)
-    ):
+    if (m.deg_a > m.a_capacity).any() or (m.deg_b > m.b_capacity).any():
         raise InternalSolverError("augmentation exceeded a capacity")
     return m
 
@@ -680,7 +748,7 @@ def _solve(
             if path.finished_at_pool:
                 state.park_budget -= 1
             augment(m, path)
-            state.apply_potentials(path.forest)
+            state.apply_potentials(path._search)
             ph1 += 1
             if observer is not None:
                 observer(state)
@@ -688,14 +756,12 @@ def _solve(
         while m.covered(j) < state.beta[j]:
             path = grow_forest(state, ("b", j))
             augment(m, path)
-            state.apply_potentials(path.forest)
+            state.apply_potentials(path._search)
             ph2 += 1
             if observer is not None:
                 observer(state)
 
-    if np.any(m.routed != state.alpha) or any(
-        m.covered(j) != state.beta[j] for j in range(state.t)
-    ):
+    if np.any(m.routed != state.alpha) or np.any(m.deg_b - m.parked != state.beta):
         raise InternalSolverError("phases ended with unmet demand")
 
     cost = m.total_cost()

@@ -6,6 +6,7 @@ strategy, so they are frozen verbatim.
 """
 
 import dataclasses
+import hashlib
 import json
 import random
 
@@ -24,7 +25,8 @@ from bmatch import (
     solve_ga,
     solve_lca,
 )
-from conftest import draw_feasible
+from conftest import draw_feasible, draw_instance
+from bmatch import solver as solver_module
 from bmatch.oracles import brute_force_optimum, check_assignment
 from bmatch.solver import INF
 
@@ -227,6 +229,34 @@ class TestSearchPrimitives:
                 finished_at_pool=False, forest=probe.forest,
             ))
 
+    def hand_path(self, st, root, steps):
+        probe = grow_forest(SolverState(st.inst), ("a", 0))
+        return AugmentingPath(
+            root=root, leaf=("b", 0), steps=steps, finished_at_pool=False, forest=probe.forest
+        )
+
+    def test_augment_rejects_park_above_surplus_quota(self):
+        st = self.state()  # every column has capacity == demand: no surplus slot
+        with pytest.raises(InternalSolverError, match="parked above its surplus quota"):
+            augment(st.matching, self.hand_path(st, ("a", 0), (("park", 0),)))
+
+    def test_augment_rejects_release_below_zero(self):
+        st = self.state()
+        with pytest.raises(InternalSolverError, match="released below zero"):
+            augment(st.matching, self.hand_path(st, ("a", 0), (("release", 1),)))
+
+    def test_augment_rejects_routing_above_demand(self):
+        st = self.state()  # row 0 demands 1 and may take 2
+        augment(st.matching, grow_forest(st, ("a", 0)))
+        with pytest.raises(InternalSolverError, match="routed above its demand quota"):
+            augment(st.matching, self.hand_path(st, ("a", 0), (("match", 0, 1),)))
+
+    def test_augment_rejects_exceeding_a_capacity(self):
+        st = SolverState(inst([[2, 3]], [1], [1], [0, 0], [1, 1]))
+        steps = (("match", 0, 0), ("match", 0, 1))  # row 0 may take only 1
+        with pytest.raises(InternalSolverError, match="exceeded a capacity"):
+            augment(st.matching, self.hand_path(st, ("b", 0), steps))
+
     def test_forest_and_steps_are_plain_python_values(self):
         # Trace consumers sum and serialize these fields; numpy scalars
         # would break json.dumps.
@@ -250,6 +280,78 @@ class TestSearchPrimitives:
     def test_state_construction_rejects_unservable_vertex(self):
         with pytest.raises(ValueError):
             SolverState(inst([[1]], [1], [1], [0], [0]))
+
+
+def test_forest_read_late_equals_forest_read_at_once(monkeypatch):
+    # Two identical solves in lockstep.  One reads each path's forest as
+    # grow_forest returns; the other reads them only after the solve, by
+    # which time later augmentations and dual updates have changed the
+    # matching and the potentials the forest was computed from.
+    fixture = inst(
+        [[4, 1, 7, 3], [2, 8, 5, 6], [9, 3, 2, 4]],
+        [2, 1, 0], [3, 2, 3], [1, 1, 1, 1], [2, 2, 2, 1],
+    )
+    original = solver_module.grow_forest
+
+    def solve_recording(read_at_once):
+        paths, forests = [], []
+
+        def recording(state, root):
+            path = original(state, root)
+            paths.append(path)
+            if read_at_once:
+                forests.append(path.forest)
+            return path
+
+        monkeypatch.setattr(solver_module, "grow_forest", recording)
+        _, rep = solve_ga(fixture)
+        return paths, forests, rep
+
+    _, at_once, rep = solve_recording(True)
+    paths, _, _ = solve_recording(False)
+    late = [path.forest for path in paths]
+    assert rep.dual_updates >= 2 and rep.phase2_augmentations >= 1
+    assert {f.orientation for f in late} == {"row", "col"}
+    assert late == at_once
+
+
+def _solve_record(solve, fixture):
+    """Plain-int record of one solve: its answer and counters, or its error."""
+    try:
+        asg, rep = solve(fixture)
+    except ValueError as err:  # InfeasibleInstanceError included
+        return [type(err).__name__, str(err)]
+    counters = (
+        rep.phase1_augmentations, rep.phase2_augmentations, rep.dual_updates,
+        rep.dual_objective, rep.pruned_pairs,
+    )
+    return [
+        rep.algorithm,
+        [[int(i), int(j)] for i, j in asg.pairs],
+        int(asg.total_cost),
+        [int(x) for x in counters],
+    ]
+
+
+# sha256 of every record of the seeded corpus below.  A change that moves
+# a tie-break, a counter or a message changes it; such a change updates
+# the constant and says why.
+PINNED_OUTPUTS = "304e97efc178ca63872c3dcb871b3ed7f46648cfc20d4c22beb5f175bb5df3f2"
+
+
+def test_outputs_are_pinned():
+    rng = random.Random(0x9E3779B9)
+    shapes = [{}] * 200 + [dict(max_s=7, max_t=7, cap_max=4, cost_max=30)] * 100 + [
+        dict(max_s=6, max_t=6, demands_one=True)
+    ] * 100
+    records = [
+        _solve_record(solve, fixture)
+        for shape in shapes
+        for fixture in [draw_instance(rng, **shape)]
+        for solve in (solve_ga, solve_lca)
+    ]
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == PINNED_OUTPUTS
 
 
 class TestRuntimeInvariants:
