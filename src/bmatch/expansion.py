@@ -58,7 +58,6 @@ class WeightTransform:
 
     c_max: int
     offset: int
-    mode: str = "affine-negation"
 
     def to_weight(self, cost: int) -> int:
         return self.offset - cost

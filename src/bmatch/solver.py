@@ -40,21 +40,23 @@ Paths may pass through the pool (park one unit, feed another), so a
 single augmentation can add more than one pair; this is required for
 optimality, not an optimization.  After the phases a zero-cost cleanup
 drops pairs that no demand on either side needs (any such pair must cost
-0 at an optimum, which is asserted); this keeps the result free of
-surplus-surplus matches so it projects cleanly onto vertex copies.
+0 at an optimum, which is asserted), so every returned pair leans on a
+demand slot on at least one side: the answer never needs a
+surplus-surplus pair of the vertex-split graph.  The assignment is read
+straight off the ``matched`` matrix, after one array check of the pruned
+matching (``_check_output``).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .expansion import CopyRef, ExpandedGraph, expand_screened, project_matching
-from .model import Assignment, Instance, clip_capacities, validate_instance
+from .expansion import CopyRef, ExpandedGraph, expand_screened
+from .model import Assignment, Instance, clip_capacities, make_assignment, validate_instance
 
 __all__ = [
     "INF",
@@ -158,45 +160,6 @@ class CapacitatedMatching:
     def total_cost(self) -> int:
         return int(self.cost[self.matched].sum())
 
-    def copy_pairs(self) -> tuple[tuple[CopyRef, CopyRef], ...]:
-        """Allocate every matched pair to vertex copies, never surplus-surplus.
-
-        Valid whenever no pair exceeds the demand on both of its sides
-        (always true after a solve, which prunes such pairs); raises
-        ``ValueError`` otherwise.  Demand slots are handed out lowest
-        index first, so the allocation is deterministic.
-        """
-        inst = self.graph.instance
-        alpha = inst.a_demand
-        beta = inst.b_demand
-        row_loose = [self.deg_a[i] > alpha[i] for i in range(inst.s)]
-        col_loose = [self.deg_b[j] > beta[j] for j in range(inst.t)]
-        a_spent = [0] * inst.s
-        b_spent = [0] * inst.t
-        out: list[tuple[CopyRef, CopyRef]] = []
-        for i, j in sorted(self.pairs):
-            i, j = int(i), int(j)
-            if row_loose[i] and col_loose[j]:
-                raise ValueError(
-                    f"no copy allocation: pair ({i}, {j}) exceeds demand on both sides"
-                )
-            if not row_loose[i]:
-                a_side: CopyRef = ("a", i)
-            elif a_spent[i] < self.num(("a", i)):
-                a_side = ("a", i)
-                a_spent[i] += 1
-            else:
-                a_side = ("a'", i)
-            if not col_loose[j]:
-                b_side: CopyRef = ("b", j)
-            elif b_spent[j] < self.num(("b", j)):
-                b_side = ("b", j)
-                b_spent[j] += 1
-            else:
-                b_side = ("b'", j)
-            out.append((a_side, b_side))
-        return tuple(out)
-
 
 def is_free(copy: CopyRef, m: CapacitatedMatching) -> bool:
     """True iff the vertex copy can take one more match (num < quota)."""
@@ -210,11 +173,8 @@ class AlternatingForest:
 
     ``dist`` holds reduced-cost distances from the root over node ids
     0..s-1 (rows), s..s+t-1 (columns), s+t (pool); INF marks unreached.
-    ``slack`` is the doubled per-copy view of finishing costs on the side
-    the search ends on: entries 0..n-1 for demand copies, n..2n-1 for
-    surplus copies, INF where that copy cannot absorb the path.  For
-    row-rooted searches there is additionally ``a_side_finish``: the cost
-    of finishing by returning one of a row's optional matches to the pool.
+    ``parent`` holds each reached node's predecessor (-1 for none) and
+    ``settled`` the nodes the search took off its queue.
     """
 
     root: CopyRef
@@ -222,8 +182,6 @@ class AlternatingForest:
     dist: tuple[int, ...]
     parent: tuple[int, ...]
     settled: tuple[bool, ...]
-    slack: tuple[int, ...]
-    a_side_finish: tuple[int, ...]
     terminal: int  # node id where the search finished
     terminal_dist: int
 
@@ -232,8 +190,9 @@ class _Search(NamedTuple):
     """What one ``grow_forest`` search ends with, in its own arrays.
 
     ``apply_potentials`` reads ``dist`` directly; ``snapshot`` builds the
-    plain-Python ``AlternatingForest``.  Nothing here is written after the
-    search returns: ``views`` holds copies of the potentials it reads.
+    plain-Python ``AlternatingForest``.  The arrays are the search's own
+    and nothing writes them after it returns, so a late snapshot equals
+    one taken at once.
     """
 
     root: CopyRef
@@ -243,18 +202,14 @@ class _Search(NamedTuple):
     settled: np.ndarray
     terminal: int
     terminal_dist: int
-    views: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
     def snapshot(self) -> AlternatingForest:
-        y_demand, y_surplus, x_surplus = self.views()
         return AlternatingForest(
             root=self.root,
             orientation=self.orientation,
             dist=tuple(self.dist.tolist()),
             parent=tuple(self.parent.tolist()),
             settled=tuple(self.settled.tolist()),
-            slack=tuple(y_demand.tolist()) + tuple(y_surplus.tolist()),
-            a_side_finish=tuple(x_surplus.tolist()) if self.orientation == "row" else (),
             terminal=self.terminal,
             terminal_dist=self.terminal_dist,
         )
@@ -290,13 +245,6 @@ class AugmentingPath:
     steps: tuple[tuple, ...]  # ("match"|"unmatch", i, j) / ("park"|"release", j) / ("feed"|"unfeed", i)
     finished_at_pool: bool
     forest: AlternatingForest = _BuiltOnFirstRead()  # type: ignore[assignment]
-
-    @property
-    def edges(self) -> tuple[tuple[int, int, bool], ...]:
-        """Pair steps as (i, j, was_matched) for inspection."""
-        return tuple(
-            (op[1], op[2], op[0] == "unmatch") for op in self.steps if op[0] in ("match", "unmatch")
-        )
 
 
 @dataclass(frozen=True)
@@ -408,10 +356,6 @@ class SolverState:
         """
         off = self.graph.transform.offset
         return tuple(int(off - x) for x in self.p), tuple(int(-x) for x in self.q)
-
-    def label(self, copy: CopyRef) -> int:
-        la, lb = self.labels()
-        return la[copy[1]] if copy[0] in ("a", "a'") else lb[copy[1]]
 
     def reduced_costs(self) -> np.ndarray:
         return self.c - self.p[:, None] - self.q[None, :]
@@ -594,9 +538,6 @@ def grow_forest(state: SolverState, root: CopyRef) -> AugmentingPath:
                 relax_pool(dv + int(py[y]) - mu, v)
 
     D = int(dist[v])
-    # The snapshot's finishing views, from copies of the potentials that
-    # apply_potentials later shifts in place.
-    views = partial(_finishing_views, dist, X, Y, y_short, y_spare, x_ret, px.copy(), py.copy(), mu, pool_ends)
     if v == pool:
         # Choose the finishing arc into the pool: the other side's spare
         # slot first, lowest index, then this side's optional match.
@@ -619,21 +560,7 @@ def grow_forest(state: SolverState, root: CopyRef) -> AugmentingPath:
         # pool -> root on the reversed graph.
         steps=_steps_from_chain(chain[::-1] if forward else chain, s, t),
         finished_at_pool=forward and v == pool,
-        forest=_Search(root, "row" if forward else "col", dist, parent, settled, v, D, views),
-    )
-
-
-def _finishing_views(
-    dist: np.ndarray, X: slice, Y: slice, y_short: np.ndarray, y_spare: np.ndarray,
-    x_ret: np.ndarray, px: np.ndarray, py: np.ndarray, mu: int, pool_ends: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Finishing costs of side Y's demand copies, side Y's surplus copies
-    and side X's surplus copies."""
-    dx, dy = dist[X], dist[Y]
-    return (
-        _finish_costs(dy, y_short, 0),
-        _finish_costs(dy, y_spare & pool_ends, py - mu),
-        _finish_costs(dx, x_ret & pool_ends, -px - mu),
+        forest=_Search(root, "row" if forward else "col", dist, parent, settled, v, D),
     )
 
 
@@ -713,10 +640,9 @@ def _prune_unneeded_pairs(state: SolverState) -> int:
     At an optimum any such pair costs 0 (otherwise dropping it would beat
     the optimum), so this never changes the total cost; a non-zero cost
     here means the solve was wrong and is raised loudly.  Afterwards every
-    remaining pair leans on a demand slot on at least one side, which is
-    exactly what the copy allocation needs.  One pass in index order
-    suffices: dropping a pair only lowers degrees, so a pair kept once
-    can never become droppable later.
+    remaining pair leans on a demand slot on at least one side.  One pass
+    in index order suffices: dropping a pair only lowers degrees, so a
+    pair kept once can never become droppable later.
     """
     m = state.matching
     removed = 0
@@ -734,6 +660,27 @@ def _prune_unneeded_pairs(state: SolverState) -> int:
             m.parked[j] -= 1
             removed += 1
     return removed
+
+
+def _check_output(state: SolverState) -> None:
+    """The last fault check on a solve's pruned matching.
+
+    The degree counters must equal the row and column sums of
+    ``matched``, every degree must lie within its vertex's bounds, and no
+    matched pair may be above demand on both of its sides.
+    """
+    m = state.matching
+    if np.any(m.matched.sum(axis=1) != m.deg_a) or np.any(m.matched.sum(axis=0) != m.deg_b):
+        raise InternalSolverError("degree counters disagree with the matched pairs")
+    if (
+        np.any(m.deg_a < state.alpha) or np.any(m.deg_a > state.alpha_cap)
+        or np.any(m.deg_b < state.beta) or np.any(m.deg_b > state.beta_cap)
+    ):
+        raise InternalSolverError("a vertex degree is outside its bounds")
+    both = m.matched & (m.deg_a > state.alpha)[:, None] & (m.deg_b > state.beta)[None, :]
+    if both.any():
+        i, j = np.argwhere(both)[0]
+        raise InternalSolverError(f"pair ({i}, {j}) is above demand on both sides")
 
 
 def _solve(
@@ -771,7 +718,8 @@ def _solve(
             f"dual objective {dual} does not certify the matched cost {cost}"
         )
     pruned = _prune_unneeded_pairs(state)
-    assignment = project_matching(state.graph, m.copy_pairs())
+    _check_output(state)
+    assignment = make_assignment(state.inst, m.pairs)
     if assignment.total_cost != cost:
         raise InternalSolverError("pruning changed the total cost")
 

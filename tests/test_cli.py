@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from bmatch import Instance, instance_digest, instance_to_json
+from bmatch import Instance, InternalSolverError, instance_digest, instance_to_json, solve_ga
 from bmatch.cli import EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 
 
@@ -100,6 +100,19 @@ class TestSolve:
         dumps = list(tmp_path.glob("bmatch-internal-*.json"))
         assert len(dumps) == 1
         assert json.loads(dumps[0].read_text())["cost"] == [[3], [4]]
+
+    def test_unpruned_output_is_an_internal_error(self, instance_file, capsys, monkeypatch, tmp_path):
+        # Without the cleanup, pair (1, 0) stays above demand on both of
+        # its sides; the solver's output check must call that a fault.
+        fixture = inst([[0, 2, 1], [0, 0, 2]], [1, 1], [1, 3], [0, 1, 2], [1, 2, 2])
+        path = instance_file(fixture)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("bmatch.solver._prune_unneeded_pairs", lambda state: 0)
+        with pytest.raises(InternalSolverError, match=r"pair \(1, 0\) is above demand on both sides"):
+            solve_ga(fixture)
+        assert main(["solve", path]) == EXIT_INTERNAL
+        assert "internal error" in capsys.readouterr().err
+        assert len(list(tmp_path.glob("bmatch-internal-*.json"))) == 1
 
     def test_lying_solver_is_caught_by_verification(
         self, instance_file, capsys, monkeypatch, tmp_path

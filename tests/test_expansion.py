@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from bmatch import (
@@ -121,13 +123,15 @@ class TestProjection:
 
 
 def test_solver_allocations_survive_projection(rng):
-    # Round trip: the solver's copy-level view of its own answer must
-    # project back to exactly the assignment it returned.
+    # Referee: a copy allocation of the solver's answer, rebuilt here
+    # from scratch, must project back to exactly that assignment.
     from conftest import draw_feasible
     from bmatch import solve_ga
 
-    for _ in range(60):
-        fixture = draw_feasible(rng, max_s=3, max_t=3)
+    # The first instance needs the solver's cleanup: without it, pair
+    # (1, 0) would be above demand on both of its sides.
+    needs_prune = inst([[0, 2, 1], [0, 0, 2]], [1, 1], [1, 3], [0, 1, 2], [1, 2, 2])
+    for fixture in [needs_prune] + [draw_feasible(rng, max_s=3, max_t=3) for _ in range(60)]:
         asg, _ = solve_ga(fixture)
         g = build_expanded_graph(fixture)
         # rebuild the copy allocation from scratch: demand slots first
@@ -142,6 +146,11 @@ def test_solver_allocations_survive_projection(rng):
             if b_left[j] > 0:
                 b_left[j] -= 1
             copy_pairs.append((a_side, b_side))
-        if any(x[0] == "a'" and y[0] == "b'" for x, y in copy_pairs):
-            continue  # greedy refill chose a different split than the solver
+        # No returned pair may be above demand on both of its sides; the
+        # greedy split then never needs a surplus-surplus pair.
+        deg_a, deg_b = Counter(i for i, _ in asg.pairs), Counter(j for _, j in asg.pairs)
+        assert not any(
+            deg_a[i] > fixture.a_demand[i] and deg_b[j] > fixture.b_demand[j] for i, j in asg.pairs
+        ), asg.pairs
+        assert not any(x[0] == "a'" and y[0] == "b'" for x, y in copy_pairs), asg.pairs
         assert project_matching(g, copy_pairs).pairs == asg.pairs
