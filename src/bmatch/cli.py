@@ -11,6 +11,10 @@ by ``GAP_LOG={quiet|info|trace}``.
 Exit statuses: 0 success; 1 usage or parse error; 2 infeasible instance
 or failed verification; 3 broken solver invariant (the offending
 instance is dumped to a fixture file for replay).
+
+Each command screens its instance once: ``solve`` with ``ga``/``lca`` in
+the solver (``model.normalize_instance``); ``verify`` and ``solve`` with
+``flow``/``brute``, which have no solver screen, reject malformed input.
 """
 
 from __future__ import annotations
@@ -73,7 +77,8 @@ def _configure_logging() -> None:
 
 
 def parse_instance(path: str) -> Instance:
-    """Load an instance file; malformed content raises with field context."""
+    """Read and parse an instance file; errors name the path.  Shapes,
+    types and bounds are left to the one screen that follows."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -83,11 +88,14 @@ def parse_instance(path: str) -> Instance:
         inst = instance_from_json(text)
     except ValueError as exc:
         raise _ParseError(f"{path}: {exc}") from exc
-    report = validate_instance(inst)
-    hard = [v for v in report.violations if v.startswith(("shape:", "type:"))]
-    if hard:
-        raise _ParseError(f"{path}: " + "; ".join(hard))
     return inst
+
+
+def _reject_malformed(inst: Instance, path: str) -> None:
+    """The screen for commands that run no solver screen of their own."""
+    report = validate_instance(inst)
+    if report.malformed:
+        raise _ParseError(f"{path}: " + "; ".join(report.violations))
 
 
 def _parse_assignment(path: str, inst: Instance) -> Assignment:
@@ -127,6 +135,8 @@ def _emit(obj: dict) -> None:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     inst = parse_instance(args.instance)
+    if args.algorithm in ("flow", "brute"):
+        _reject_malformed(inst, args.instance)
     t0 = time.perf_counter()
     diagnostics: dict = {}
     try:
@@ -148,7 +158,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except ValueError as exc:
-        raise _ParseError(str(exc)) from exc
+        raise _ParseError(f"{args.instance}: {exc}") from exc
     except Exception as exc:
         name = _dump_fixture(inst, "bmatch-internal")
         print(f"internal error: {type(exc).__name__}: {exc} (fixture: {name})", file=sys.stderr)
@@ -180,6 +190,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     inst = parse_instance(args.instance)
+    _reject_malformed(inst, args.instance)
     assignment = _parse_assignment(args.assignment, inst)
     report = check_assignment(inst, assignment)
     _emit(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -23,7 +23,7 @@ __all__ = [
     "ValidationReport",
     "validate_instance",
     "normalize_instance",
-    "clip_capacities",
+    "InfeasibleInstanceError",
     "assignment_cost",
     "make_assignment",
     "instance_to_json",
@@ -32,6 +32,20 @@ __all__ = [
 ]
 
 _INSTANCE_KEYS = ("s", "t", "cost", "a_demand", "a_capacity", "b_demand", "b_capacity")
+
+
+class InfeasibleInstanceError(ValueError):
+    """No assignment can satisfy every demand within the capacities.
+
+    ``root`` (when set) is the vertex copy whose demand got stuck, and
+    ``reached`` lists the vertices its search could still reach — together
+    they certify the bottleneck.
+    """
+
+    def __init__(self, message: str, root: tuple[str, int] | None = None, reached: tuple[str, ...] = ()):
+        super().__init__(message)
+        self.root = root
+        self.reached = reached
 
 
 @dataclass(frozen=True)
@@ -92,6 +106,11 @@ class ValidationReport:
 
     feasible_necessary: bool
     violations: tuple[str, ...]
+
+    @property
+    def malformed(self) -> bool:
+        """Bad shapes or types: the input is malformed, not infeasible."""
+        return any(v.startswith(("shape:", "type:")) for v in self.violations)
 
 
 def _is_int(x: object) -> bool:
@@ -171,30 +190,22 @@ def validate_instance(inst: Instance) -> ValidationReport:
 
 
 def normalize_instance(inst: Instance) -> Instance:
-    """Clip capacities to the opposite side size; reject hard violations.
+    """The one screen of a solve: one ``validate_instance`` pass.
 
-    ``a_capacity[i]`` is lowered to ``min(a_capacity[i], t)`` (a row can
-    never use more than t distinct columns) and symmetrically for
-    ``b_capacity``.  Idempotent.  Violations that clipping cannot repair
-    (bad shapes, demand above capacity or above the opposite side size,
-    aggregate demand above effective capacity) raise ``ValueError``.
+    Malformed input raises ``ValueError("malformed instance: ...")`` and
+    violated bounds ``InfeasibleInstanceError``.  Otherwise returns the
+    instance with ``a_capacity[i]`` lowered to ``min(a_capacity[i], t)``
+    (a row never uses more than t distinct columns), ``b_capacity`` alike.
+    Idempotent.
     """
     report = validate_instance(inst)
+    if report.malformed:
+        raise ValueError("malformed instance: " + "; ".join(report.violations))
     if not report.feasible_necessary:
-        raise ValueError("instance has hard violations: " + "; ".join(report.violations))
-    return clip_capacities(inst)
-
-
-def clip_capacities(inst: Instance) -> Instance:
-    """``normalize_instance`` without its screen, for an instance that
-    already passed ``validate_instance``."""
-    return Instance(
-        s=inst.s,
-        t=inst.t,
-        cost=inst.cost,
-        a_demand=inst.a_demand,
+        raise InfeasibleInstanceError("instance bounds cannot be satisfied: " + "; ".join(report.violations))
+    return replace(
+        inst,
         a_capacity=tuple(min(c, inst.t) for c in inst.a_capacity),
-        b_demand=inst.b_demand,
         b_capacity=tuple(min(c, inst.s) for c in inst.b_capacity),
     )
 

@@ -33,8 +33,8 @@ Two phases, mirroring the two vertex sides:
 Both phases run one search, ``grow_forest``: phase 2 is the phase-1
 Dijkstra run on the reversed residual graph, with rows and columns
 trading roles (the successive-shortest-path scheme of Ahuja, Magnanti &
-Orlin, *Network Flows*, 1993, ch. 9).  Building the ``SolverState`` is
-the one input screen of a solve.
+Orlin, *Network Flows*, 1993, ch. 9).  Building the ``SolverState`` runs
+the one input screen of a solve, ``model.normalize_instance``.
 
 Paths may pass through the pool (park one unit, feed another), so a
 single augmentation can add more than one pair; this is required for
@@ -56,7 +56,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .expansion import CopyRef, ExpandedGraph, expand_screened
-from .model import Assignment, Instance, clip_capacities, make_assignment, validate_instance
+from .model import Assignment, InfeasibleInstanceError, Instance, make_assignment, normalize_instance
 
 __all__ = [
     "INF",
@@ -75,22 +75,6 @@ __all__ = [
 ]
 
 INF = 2**62
-
-_HARD_PREFIXES = ("shape:", "type:")
-
-
-class InfeasibleInstanceError(ValueError):
-    """No assignment can satisfy every demand within the capacities.
-
-    ``root`` (when set) is the vertex copy whose demand got stuck, and
-    ``reached`` lists the vertices its search could still reach — together
-    they certify the bottleneck.
-    """
-
-    def __init__(self, message: str, root: CopyRef | None = None, reached: tuple[str, ...] = ()):
-        super().__init__(message)
-        self.root = root
-        self.reached = reached
 
 
 class InternalSolverError(RuntimeError):
@@ -307,21 +291,14 @@ def _check_exact_domain(inst: Instance, c_max: int) -> None:
 class SolverState:
     """Matching plus dual potentials; owns all mutable state of one solve.
 
-    Construction is the solver's one screen: malformed input raises
-    ``ValueError``, unsatisfiable bounds ``InfeasibleInstanceError``, and
-    costs outside the exact int64 domain ``ValueError``.  ``inst`` is the
-    normalized instance (capacities clipped to the opposite side size).
+    Construction runs the solve's one screen, ``normalize_instance``, then
+    rejects costs outside the exact int64 domain with ``ValueError``.
+    ``inst`` is the normalized instance (capacities clipped to the
+    opposite side size).
     """
 
     def __init__(self, inst: Instance):
-        report = validate_instance(inst)
-        if not report.feasible_necessary:
-            if any(v.startswith(_HARD_PREFIXES) for v in report.violations):
-                raise ValueError("malformed instance: " + "; ".join(report.violations))
-            raise InfeasibleInstanceError(
-                "instance bounds cannot be satisfied: " + "; ".join(report.violations)
-            )
-        inst = clip_capacities(inst)
+        inst = normalize_instance(inst)
         c_max = max(map(max, inst.cost))
         _check_exact_domain(inst, c_max)
         self.graph = expand_screened(inst, c_max)

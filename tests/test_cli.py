@@ -173,6 +173,35 @@ class TestVerify:
             assert main(["verify", path, "--assignment", str(asg)]) == EXIT_USAGE
 
 
+# Every command that reads an instance file; verify reads its assignment
+# from the working directory.
+COMMANDS = {
+    "ga": ["solve", "--algorithm", "ga"],
+    "lca": ["solve", "--algorithm", "lca"],
+    "flow": ["solve", "--algorithm", "flow"],
+    "brute": ["solve", "--algorithm", "brute"],
+    "verify": ["verify", "--assignment", "diagonal.json"],
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS.values(), ids=COMMANDS)
+def test_each_command_validates_the_instance_once(command, instance_file, tmp_path, monkeypatch, capsys):
+    (tmp_path / "diagonal.json").write_text('{"pairs": [[0, 0], [1, 1]]}')
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    original = sys.modules["bmatch.model"].validate_instance
+
+    def counted(instance):
+        calls.append(instance)
+        return original(instance)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "bmatch" or name.startswith("bmatch.")) and "validate_instance" in vars(module):
+            monkeypatch.setattr(module, "validate_instance", counted)
+    assert main([*command, instance_file(UNIT)]) == EXIT_OK
+    assert len(calls) == 1
+
+
 class TestGen:
     def test_byte_reproducible(self, capsys):
         assert main(["gen", "--s", "3", "--t", "2", "--seed", "9"]) == EXIT_OK
@@ -257,15 +286,20 @@ class TestUsageErrors:
         assert main(["solve", str(path)]) == EXIT_USAGE
         assert "b_capacity" in capsys.readouterr().err
 
-    def test_ragged_cost_matrix(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", COMMANDS.values(), ids=COMMANDS)
+    def test_ragged_cost_matrix(self, command, tmp_path, monkeypatch, capsys):
+        (tmp_path / "diagonal.json").write_text('{"pairs": [[0, 0], [1, 1]]}')
+        monkeypatch.chdir(tmp_path)
         path = tmp_path / "ragged.json"
         path.write_text(json.dumps({
             "s": 2, "t": 2, "cost": [[1, 2], [3]],
             "a_demand": [0, 0], "a_capacity": [1, 1],
             "b_demand": [0, 0], "b_capacity": [1, 1],
         }))
-        assert main(["solve", str(path)]) == EXIT_USAGE
-        assert "shape" in capsys.readouterr().err
+        assert main([*command, str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(path) in err and "shape" in err
+        assert not list(tmp_path.glob("bmatch-internal-*.json"))
 
     def test_unknown_flag(self):
         assert main(["solve", "--frobnicate", "x.json"]) == EXIT_USAGE

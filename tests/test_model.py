@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from bmatch import (
     Assignment,
+    InfeasibleInstanceError,
     Instance,
     assignment_cost,
     instance_digest,
@@ -80,6 +81,16 @@ class TestNormalize:
     def test_rejects_hard_violation(self):
         with pytest.raises(ValueError, match="a_demand"):
             normalize_instance(inst([[1, 1]], [3], [3], [0, 0], [1, 1]))
+        # Violated bounds are infeasible; a ragged matrix is malformed.
+        with pytest.raises(InfeasibleInstanceError, match="b_demand"):
+            normalize_instance(inst([[1, 1]], [0], [2], [2, 0], [2, 1]))
+        ragged = Instance(
+            s=2, t=2, cost=((1, 2), (3,)), a_demand=(0, 0), a_capacity=(1, 1),
+            b_demand=(0, 0), b_capacity=(1, 1),
+        )
+        with pytest.raises(ValueError, match="malformed instance: shape") as err:
+            normalize_instance(ragged)
+        assert not isinstance(err.value, InfeasibleInstanceError)
 
 
 class TestAssignmentCost:

@@ -37,18 +37,19 @@ def test_traced_solve_records_every_solver_layer():
     assert bmatch.solver.grow_forest is grow_forest
 
     spans = tracer.solve_breakdown(0)
-    # The tracer also wraps solver.normalize_instance and
-    # solver.build_expanded_graph, which the solver no longer calls (the
-    # screen in SolverState uses clip_capacities and expand_screened),
-    # and solver.project_matching and CapacitatedMatching.copy_pairs,
-    # which are gone from the solve (the answer is read off the matched
+    # The tracer also wraps solver.build_expanded_graph, which the solver
+    # no longer calls (SolverState uses expand_screened), and
+    # solver.project_matching and CapacitatedMatching.copy_pairs, which
+    # are gone from the solve (the answer is read off the matched
     # matrix): those are known stale targets and record nothing.
     for name in (
+        "model.normalize_instance",
         "solver.grow_forest",
         "solver.augment",
         "solver.apply_potentials",
         "solver.state_init",
     ):
         assert spans[name]["calls"] >= 1, name
+    assert spans["model.validate_instance"]["calls"] == 1
     assert spans["solver.grow_forest"]["calls"] == 2
     assert spans["solver.grow_forest"]["settled"] >= 1
