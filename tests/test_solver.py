@@ -366,6 +366,56 @@ def test_outputs_are_pinned():
     assert digest == PINNED_OUTPUTS
 
 
+# sha256 of every search of the seeded corpus below: each forest snapshot
+# with its path's steps and leaf, or a stuck search's root and reached
+# set.  It pins the settle order and tie-breaks inside grow_forest, which
+# PINNED_OUTPUTS sees only through the answers.  A change to the search
+# loop must leave it as it is; a change that means to move a search
+# updates it and says why.
+PINNED_SEARCHES = "5e15846938d31c2ba5f190c93e7786c31194e944a9a94fb3d46398922a6b6057"
+
+
+def test_searches_are_pinned(monkeypatch):
+    original = solver_module.grow_forest
+    records, seen = [], set()
+
+    def recording(state, root):
+        try:
+            path = original(state, root)
+        except InfeasibleInstanceError as err:
+            records.append(["stuck", list(err.root), list(err.reached)])
+            seen.add("stuck")
+            raise
+        f = path.forest
+        pool = len(f.dist) - 1
+        for v, done in enumerate(f.settled):
+            if done and f.parent[v] >= 0:
+                assert f.settled[f.parent[v]], (root, v)
+        seen.add(f.orientation)
+        if path.finished_at_pool:
+            seen.add("pool finish")
+        if f.settled[pool] and f.terminal != pool:
+            seen.add("pool pass-through")
+        records.append([dataclasses.asdict(f), [list(op) for op in path.steps], list(path.leaf)])
+        return path
+
+    monkeypatch.setattr(solver_module, "grow_forest", recording)
+    rng = random.Random(0x5EA7C4)
+    shapes = (
+        [dict(max_s=6, max_t=6, cap_max=4, cost_max=20)] * 150
+        + [dict(max_s=5, max_t=5, cap_max=5)] * 100
+        + [dict(max_s=7, max_t=7, demands_one=True)] * 50
+    )
+    for shape in shapes:
+        try:
+            solve_ga(draw_instance(rng, **shape))
+        except ValueError:  # InfeasibleInstanceError included
+            pass
+    assert seen == {"row", "col", "pool finish", "pool pass-through", "stuck"}
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == PINNED_SEARCHES, digest
+
+
 class TestRuntimeInvariants:
     def test_dual_feasibility_after_every_augmentation(self, rng):
         checked = 0
