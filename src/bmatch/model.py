@@ -266,7 +266,7 @@ def instance_from_json(text: str) -> Instance:
     return Instance(
         s=doc["s"],
         t=doc["t"],
-        cost=tuple(tuple(c for c in row) for row in cost),
+        cost=tuple(tuple(row) for row in cost),
         a_demand=tuple(doc["a_demand"]),
         a_capacity=tuple(doc["a_capacity"]),
         b_demand=tuple(doc["b_demand"]),

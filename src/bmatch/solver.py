@@ -472,48 +472,64 @@ def grow_forest(state: SolverState, root: CopyRef) -> AugmentingPath:
     X = slice(x0, x0 + len(px))
     Y = slice(y0, y0 + len(py))
 
+    # cand holds the tentative distance of each reached, unsettled node
+    # and INF elsewhere, so one argmin picks each settle.  dist takes a
+    # node's distance as it settles and the tentative ones at the end.
+    # Relaxing writes through each block's views, taken once.
     dist = np.full(pool + 1, INF, dtype=np.int64)
+    cand = np.full(pool + 1, INF, dtype=np.int64)
     parent = np.full(pool + 1, -1, dtype=np.int64)
-    settled = np.zeros(pool + 1, dtype=bool)
-    dist[x0 + root[1]] = 0
+    unsettled = np.ones(pool + 1, dtype=bool)
+    cand[x0 + root[1]] = 0
+    on_x, on_y = ((cand[b], parent[b], unsettled[b]) for b in (X, Y))
 
-    def relax(blk: slice, ok: np.ndarray, nd: np.ndarray, v: int) -> None:
-        ok = ok & (~settled[blk]) & (nd < dist[blk])
-        dist[blk][ok] = nd[ok]
-        parent[blk][ok] = v
+    def relax(views: tuple, ok: np.ndarray, nd: np.ndarray, v: int) -> None:
+        cd, par, live = views
+        better = nd < cd  # a fresh mask: ``ok`` may be a view of ``matched``
+        better &= ok
+        better &= live  # settled nodes read INF in cand; this mask guards them
+        np.copyto(cd, nd, where=better)
+        np.copyto(par, v, where=better)
 
     def relax_pool(nd: int, v: int) -> None:
-        if not settled[pool] and nd < dist[pool]:
-            dist[pool] = nd
+        if unsettled[pool] and nd < cand[pool]:
+            cand[pool] = nd
             parent[pool] = v
 
     while True:
-        cand = np.where(settled, INF, dist)
         v = int(cand.argmin())
         dv = int(cand[v])
         if dv >= INF:
-            raise _stuck(state, root, settled)
-        settled[v] = True
+            raise _stuck(state, root, ~unsettled)
+        dist[v] = dv
+        cand[v] = INF
+        unsettled[v] = False
         if v == pool:
             if pool_ends:
                 break
             # Pool without park budget left (row roots only): pass
             # through it into a row's spare slot or a parked column unit.
-            relax(X, fed < state.alpha_cap - state.alpha, dv + (mu + px), v)
-            relax(Y, m.parked > 0, dv + (mu - py), v)
+            relax(on_x, fed < state.alpha_cap - state.alpha, dv + (mu + px), v)
+            relax(on_y, m.parked > 0, dv + (mu - py), v)
         elif X.start <= v < X.stop:
             x = v - x0
-            relax(Y, ~matched[x], dv + (c[x] - px[x] - py), v)
+            nd = c[x] - py
+            nd += dv - px[x]
+            relax(on_y, ~matched[x], nd, v)
             if x_ret[x]:
                 relax_pool(dv - int(px[x]) - mu, v)
         else:
             y = v - y0
             if y_short[y]:
                 break  # a column that still needs partners: finish here
-            relax(X, matched[:, y], dv + (px + py[y] - c[:, y]), v)
+            nd = px - c[:, y]
+            nd += dv + py[y]
+            relax(on_x, matched[:, y], nd, v)
             if y_spare[y]:
                 relax_pool(dv + int(py[y]) - mu, v)
 
+    np.copyto(dist, cand, where=unsettled)
+    settled = ~unsettled
     D = int(dist[v])
     if v == pool:
         # Choose the finishing arc into the pool: the other side's spare

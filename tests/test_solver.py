@@ -387,15 +387,16 @@ def test_searches_are_pinned(monkeypatch):
             seen.add("stuck")
             raise
         f = path.forest
-        pool = len(f.dist) - 1
+        pool = state.s + state.t
+        root_id = root[1] if root[0] == "a" else state.s + root[1]
         for v, done in enumerate(f.settled):
-            if done and f.parent[v] >= 0:
-                assert f.settled[f.parent[v]], (root, v)
+            if done and v != root_id:
+                assert f.parent[v] >= 0 and f.settled[f.parent[v]], (root, v)
         seen.add(f.orientation)
         if path.finished_at_pool:
             seen.add("pool finish")
         if f.settled[pool] and f.terminal != pool:
-            seen.add("pool pass-through")
+            seen.add("pool pass-through")  # the pool did not end it: no park budget left
         records.append([dataclasses.asdict(f), [list(op) for op in path.steps], list(path.leaf)])
         return path
 
