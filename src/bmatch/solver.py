@@ -75,6 +75,10 @@ __all__ = [
 ]
 
 INF = 2**62
+# Added to ``cost`` at every matched pair in ``CapacitatedMatching.lifted``,
+# so a relax through the lifted matrix pushes the pairs it may not use to
+# INF or above (see ``_check_exact_domain``).
+LIFT = 3 * 2**61
 
 
 class InternalSolverError(RuntimeError):
@@ -89,7 +93,8 @@ class CapacitatedMatching:
     ``parked[j]`` column j's matches on its surplus copy; the other two
     copy counts follow from the degrees.  ``num``/``quota`` expose the
     four counter arrays per vertex copy.  ``cost`` and the capacities are
-    the instance's, as int64 arrays built once.
+    the instance's, as int64 arrays built once.  ``lifted`` is
+    ``cost + LIFT * matched``, kept in step by every pair flip.
     """
 
     graph: ExpandedGraph
@@ -99,6 +104,7 @@ class CapacitatedMatching:
     routed: np.ndarray
     parked: np.ndarray
     cost: np.ndarray  # (s, t) int64
+    lifted: np.ndarray  # (s, t) int64
     a_capacity: np.ndarray
     b_capacity: np.ndarray
 
@@ -106,6 +112,7 @@ class CapacitatedMatching:
     def empty(cls, graph: ExpandedGraph) -> "CapacitatedMatching":
         inst = graph.instance
         s, t = inst.s, inst.t
+        cost = np.asarray(inst.cost, dtype=np.int64)
         return cls(
             graph=graph,
             matched=np.zeros((s, t), dtype=bool),
@@ -113,7 +120,8 @@ class CapacitatedMatching:
             deg_b=np.zeros(t, dtype=np.int64),
             routed=np.zeros(s, dtype=np.int64),
             parked=np.zeros(t, dtype=np.int64),
-            cost=np.asarray(inst.cost, dtype=np.int64),
+            cost=cost,
+            lifted=cost.copy(),
             a_capacity=np.asarray(inst.a_capacity, dtype=np.int64),
             b_capacity=np.asarray(inst.b_capacity, dtype=np.int64),
         )
@@ -274,9 +282,31 @@ def _check_exact_domain(inst: Instance, c_max: int) -> None:
     Then settled distances are at most min(s, t)*C + K and tentative ones
     at most that plus one arc, C + K; ``INF + K`` fits in int64; each term
     of the dual objective is at most K and its partial sums at most
-    s*t*K; the matched cost is at most P*C.  All of it holds when
-    2*s*t*C*(P + s + t + 1) < 2**62 = INF, which is checked here in
-    Python integers, before any numpy conversion.
+    s*t*K; the matched cost is at most P*C.
+
+    A search relaxes through ``lifted = cost + LIFT*matched`` with
+    LIFT = INF + 2**61, and every pair a relax may not use must come out
+    in [INF, 2**63): never below a candidate, and never wrapped.  Settling
+    node v at dv, with r the pair's reduced cost:
+
+    * from side X, a matched pair reads LIFT + dv + r with r in [-K, 0];
+    * from side Y, an unmatched pair reads LIFT + dv - r with r in
+      [0, C + K], and the scalar ``LIFT + dv + py[y]`` is its largest
+      partial sum (``g[x] - py`` and ``px - g[:, y]`` stay within
+      LIFT + C + K in size).
+
+    Bounding dv and ``py[y]`` apart (min(s, t)*C + 2K) is too loose for
+    s = t = 1.  Jointly: dv is the tree path's cost plus the difference of
+    its end labels, and ``py[y]`` cancels the label of y, so ``dv + py[y]``
+    is the path's cost, at most min(s, t)*C (each match arc leaves a
+    distinct row for a distinct column; other arcs cost <= 0), plus the
+    root's label term: at least -S1 on a row root, at most C + S2 on a
+    column root.  So ``dv + py[y]`` and dv are at most min(s, t)*C + K,
+    and the lifted values lie in [LIFT - C - K, LIFT + min(s, t)*C + K].
+    That is inside [INF, 2**63) when (P + 1 + max(1, min(s, t)))*C < 2**61.
+
+    All of it holds when 2*s*t*C*(P + s + t + 1) < 2**62 = INF, which is
+    checked here in Python integers, before any numpy conversion.
     """
     s, t = inst.s, inst.t
     pairs = min(sum(inst.a_capacity), sum(inst.b_capacity))
@@ -295,6 +325,11 @@ class SolverState:
     rejects costs outside the exact int64 domain with ``ValueError``.
     ``inst`` is the normalized instance (capacities clipped to the
     opposite side size).
+
+    ``cand`` and ``unsettled`` are the search's scratch arrays over node
+    ids: all INF and all True between searches, which reset them.
+    ``blocks`` holds their views of side X and side Y for each root
+    group ("a": rows then columns; "b": columns then rows).
     """
 
     def __init__(self, inst: Instance):
@@ -314,6 +349,11 @@ class SolverState:
         # How many demand units may still end in spare column capacity.
         self.park_budget = max(0, int(self.alpha.sum() - self.beta.sum()))
         self.dual_updates = 0
+        s, t = inst.s, inst.t
+        self.cand = np.full(s + t + 1, INF, dtype=np.int64)
+        self.unsettled = np.ones(s + t + 1, dtype=bool)
+        rows, cols = ((self.cand[b], self.unsettled[b]) for b in (slice(0, s), slice(s, s + t)))
+        self.blocks = {"a": (rows, cols), "b": (cols, rows)}
 
     @property
     def s(self) -> int:
@@ -399,6 +439,8 @@ def _reconstruct(parent: np.ndarray, start: int) -> list[int]:
     """Follow parent pointers from ``start`` until a node without one."""
     chain = [start]
     while parent[chain[-1]] >= 0:
+        if len(chain) == len(parent):
+            raise InternalSolverError("parent pointers form a cycle")
         chain.append(int(parent[chain[-1]]))
     return chain
 
@@ -442,9 +484,11 @@ def grow_forest(state: SolverState, root: CopyRef) -> AugmentingPath:
 
     Both directions run one Dijkstra.  It searches from side X (the
     root's) across pairs to side Y and through the pool; a column root is
-    the row case on transposed views, ``(c, matched, p, q, mu)`` becoming
-    ``(c.T, matched.T, q, p, -mu)``.  Node ids keep one layout (rows,
-    columns, pool) in both directions, so ties break the same way.
+    the row case on transposed views, ``(lifted, p, q, mu)`` becoming
+    ``(lifted.T, q, p, -mu)``.  Node ids keep one layout (rows, columns,
+    pool) in both directions, so ties break the same way.  Relaxes read
+    the lifted cost matrix, where every pair a relax may not use comes
+    out at INF or above, so no relax needs a mask of ``matched``.
     """
     if root[0] not in ("a", "b"):
         raise ValueError(f"roots must be demand copies, got {root!r}")
@@ -458,35 +502,35 @@ def grow_forest(state: SolverState, root: CopyRef) -> AugmentingPath:
     # x_ret: an optional match on side X that can go back to the pool;
     # y_spare: a spare surplus slot on side Y that the pool can feed.
     if forward:
-        c, matched, px, py, mu = state.c, m.matched, state.p, state.q, state.mu
+        g, px, py, mu = m.lifted, state.p, state.q, state.mu
         x0, y0, other = 0, s, "b"
         x_ret, y_spare = fed > 0, m.parked < state.beta_cap - state.beta
         y_short = (m.deg_b - m.parked) < state.beta  # columns that still need partners
         pool_ends = state.park_budget > 0
     else:
-        c, matched, px, py, mu = state.c.T, m.matched.T, state.q, state.p, -state.mu
+        g, px, py, mu = m.lifted.T, state.q, state.p, -state.mu
         x0, y0, other = s, 0, "a"
         x_ret, y_spare = m.parked > 0, fed < state.alpha_cap - state.alpha
         y_short = np.zeros(s, dtype=bool)
         pool_ends = True
-    X = slice(x0, x0 + len(px))
-    Y = slice(y0, y0 + len(py))
+    nx, ny = len(px), len(py)
 
-    # cand holds the tentative distance of each reached, unsettled node
-    # and INF elsewhere, so one argmin picks each settle.  dist takes a
-    # node's distance as it settles and the tentative ones at the end.
-    # Relaxing writes through each block's views, taken once.
-    dist = np.full(pool + 1, INF, dtype=np.int64)
-    cand = np.full(pool + 1, INF, dtype=np.int64)
+    # cand (the state's, all INF between searches) holds the tentative
+    # distance of each reached, unsettled node and INF elsewhere, so one
+    # argmin picks each settle.  dist takes a node's distance as it
+    # settles and the tentative ones at the end.  Relaxing writes through
+    # each block's views.
+    cand, unsettled = state.cand, state.unsettled
+    (cand_x, live_x), (cand_y, live_y) = state.blocks[root[0]]
+    dist = np.empty(pool + 1, dtype=np.int64)
     parent = np.full(pool + 1, -1, dtype=np.int64)
-    unsettled = np.ones(pool + 1, dtype=bool)
-    cand[x0 + root[1]] = 0
-    on_x, on_y = ((cand[b], parent[b], unsettled[b]) for b in (X, Y))
+    on_x = (cand_x, parent[x0 : x0 + nx], live_x)
+    on_y = (cand_y, parent[y0 : y0 + ny], live_y)
+    order: list[int] = []  # settled nodes, in settle order
 
-    def relax(views: tuple, ok: np.ndarray, nd: np.ndarray, v: int) -> None:
+    def relax(views: tuple, nd: np.ndarray, v: int) -> None:
         cd, par, live = views
-        better = nd < cd  # a fresh mask: ``ok`` may be a view of ``matched``
-        better &= ok
+        better = nd < cd
         better &= live  # settled nodes read INF in cand; this mask guards them
         np.copyto(cd, nd, where=better)
         np.copyto(par, v, where=better)
@@ -496,49 +540,65 @@ def grow_forest(state: SolverState, root: CopyRef) -> AugmentingPath:
             cand[pool] = nd
             parent[pool] = v
 
-    while True:
-        v = int(cand.argmin())
-        dv = int(cand[v])
-        if dv >= INF:
-            raise _stuck(state, root, ~unsettled)
-        dist[v] = dv
-        cand[v] = INF
-        unsettled[v] = False
-        if v == pool:
-            if pool_ends:
-                break
-            # Pool without park budget left (row roots only): pass
-            # through it into a row's spare slot or a parked column unit.
-            relax(on_x, fed < state.alpha_cap - state.alpha, dv + (mu + px), v)
-            relax(on_y, m.parked > 0, dv + (mu - py), v)
-        elif X.start <= v < X.stop:
-            x = v - x0
-            nd = c[x] - py
-            nd += dv - px[x]
-            relax(on_y, ~matched[x], nd, v)
-            if x_ret[x]:
-                relax_pool(dv - int(px[x]) - mu, v)
-        else:
-            y = v - y0
-            if y_short[y]:
-                break  # a column that still needs partners: finish here
-            nd = px - c[:, y]
-            nd += dv + py[y]
-            relax(on_x, matched[:, y], nd, v)
-            if y_spare[y]:
-                relax_pool(dv + int(py[y]) - mu, v)
+    cand[x0 + root[1]] = 0
+    try:
+        while True:
+            v = int(cand.argmin())
+            dv = int(cand[v])
+            if dv >= INF:
+                raise _stuck(state, root, ~unsettled)
+            if len(order) > pool:
+                raise InternalSolverError(
+                    f"search from {root!r} settled more than its {pool + 1} nodes"
+                )
+            order.append(v)
+            dist[v] = dv
+            cand[v] = INF
+            unsettled[v] = False
+            if v == pool:
+                if pool_ends:
+                    break
+                # Pool without park budget left (row roots only): pass
+                # through it into a row's spare slot or a parked column unit.
+                relax(on_x, np.where(fed < state.alpha_cap - state.alpha, dv + (mu + px), INF), v)
+                relax(on_y, np.where(m.parked > 0, dv + (mu - py), INF), v)
+            elif x0 <= v < x0 + nx:
+                x = v - x0
+                nd = g[x] - py  # matched pairs: INF or above
+                nd += dv - px[x]
+                relax(on_y, nd, v)
+                if x_ret[x]:
+                    relax_pool(dv - int(px[x]) - mu, v)
+            else:
+                y = v - y0
+                if y_short[y]:
+                    break  # a column that still needs partners: finish here
+                nd = px - g[:, y]  # unmatched pairs: INF or above
+                nd += LIFT + dv + py[y]
+                relax(on_x, nd, v)
+                if y_spare[y]:
+                    relax_pool(dv + int(py[y]) - mu, v)
+        np.copyto(dist, cand, where=unsettled)
+        settled = ~unsettled
+    finally:
+        cand.fill(INF)
+        unsettled.fill(True)
 
-    np.copyto(dist, cand, where=unsettled)
-    settled = ~unsettled
     D = int(dist[v])
     if v == pool:
         # Choose the finishing arc into the pool: the other side's spare
-        # slot first, lowest index, then this side's optional match.
-        for blk, ok, extra, group in ((Y, y_spare, py - mu, other), (X, x_ret, -px - mu, root[0])):
-            hits = np.flatnonzero(_finish_costs(dist[blk], ok, extra) == D)
-            if hits.size:
-                leaf: CopyRef = (group + "'", int(hits[0]))
-                parent[pool] = blk.start + leaf[1]
+        # slot first, lowest index, then this side's optional match.  Only
+        # settled nodes can finish at D: the pool, highest id, settled at
+        # D, so every unsettled node has cand > D, and pool arcs have
+        # reduced cost >= 0.
+        for b0, ok, label, sign, group in ((y0, y_spare, py, 1, other), (x0, x_ret, px, -1, root[0])):
+            ends = [
+                u - b0 for u in order
+                if 0 <= u - b0 < len(ok) and ok[u - b0] and int(dist[u]) + sign * int(label[u - b0]) - mu == D
+            ]
+            if ends:
+                leaf: CopyRef = (group + "'", min(ends))
+                parent[pool] = b0 + leaf[1]
                 break
         else:
             raise InternalSolverError("pool finish without a finishing arc")
@@ -555,12 +615,6 @@ def grow_forest(state: SolverState, root: CopyRef) -> AugmentingPath:
         finished_at_pool=forward and v == pool,
         forest=_Search(root, "row" if forward else "col", dist, parent, settled, v, D),
     )
-
-
-def _finish_costs(d: np.ndarray, ok: np.ndarray, extra: np.ndarray | int) -> np.ndarray:
-    """Cost of ending the path at each copy: ``d + extra`` where the copy
-    can absorb it and is reached, INF elsewhere."""
-    return np.where(ok & (d < INF), d + extra, INF)
 
 
 def _stuck(state: SolverState, root: CopyRef, settled: np.ndarray) -> InfeasibleInstanceError:
@@ -581,12 +635,18 @@ def _stuck(state: SolverState, root: CopyRef, settled: np.ndarray) -> Infeasible
 def augment(m: CapacitatedMatching, path: AugmentingPath) -> CapacitatedMatching:
     """Apply one augmenting path to the matching, in place.
 
-    Swaps matched and unmatched pairs along the path and updates every
-    copy counter; a malformed path (double match, counter out of range)
-    raises ``InternalSolverError``.  Plain alternating paths add exactly
-    one pair; pool-passing paths add one pair per pool transit as well.
+    Swaps matched and unmatched pairs along the path, keeping ``lifted``
+    in step, and updates every copy counter; a malformed path (double
+    match, counter out of range) raises ``InternalSolverError``.  Plain
+    alternating paths add exactly one pair; pool-passing paths add one
+    pair per pool transit as well.
+
+    A path may take a vertex over its capacity midway and back by its
+    end, so capacities are checked once the steps are done, at the
+    vertices a match step raised: only there can a degree have grown.
     """
     inst = m.graph.instance
+    raised: list[tuple[int, int]] = []
     for op in path.steps:
         kind = op[0]
         if kind == "match":
@@ -594,13 +654,16 @@ def augment(m: CapacitatedMatching, path: AugmentingPath) -> CapacitatedMatching
             if m.matched[i, j]:
                 raise InternalSolverError(f"path matches already-matched pair ({i}, {j})")
             m.matched[i, j] = True
+            m.lifted[i, j] += LIFT
             m.deg_a[i] += 1
             m.deg_b[j] += 1
+            raised.append((i, j))
         elif kind == "unmatch":
             _, i, j = op
             if not m.matched[i, j]:
                 raise InternalSolverError(f"path unmatches unmatched pair ({i}, {j})")
             m.matched[i, j] = False
+            m.lifted[i, j] -= LIFT
             m.deg_a[i] -= 1
             m.deg_b[j] -= 1
         elif kind == "park":
@@ -622,8 +685,9 @@ def augment(m: CapacitatedMatching, path: AugmentingPath) -> CapacitatedMatching
         m.routed[r] += 1
         if m.routed[r] > inst.a_demand[r]:
             raise InternalSolverError(f"row {r} routed above its demand quota")
-    if (m.deg_a > m.a_capacity).any() or (m.deg_b > m.b_capacity).any():
-        raise InternalSolverError("augmentation exceeded a capacity")
+    for i, j in raised:
+        if m.deg_a[i] > m.a_capacity[i] or m.deg_b[j] > m.b_capacity[j]:
+            raise InternalSolverError("augmentation exceeded a capacity")
     return m
 
 
@@ -648,6 +712,7 @@ def _prune_unneeded_pairs(state: SolverState) -> int:
                     f"of non-zero cost {int(state.c[i, j])}"
                 )
             m.matched[i, j] = False
+            m.lifted[i, j] -= LIFT
             m.deg_a[i] -= 1
             m.deg_b[j] -= 1
             m.parked[j] -= 1

@@ -28,7 +28,7 @@ from bmatch import (
 from conftest import draw_feasible, draw_instance
 from bmatch import solver as solver_module
 from bmatch.oracles import brute_force_optimum, check_assignment
-from bmatch.solver import INF
+from bmatch.solver import INF, LIFT
 
 
 def inst(c, ad, ac, bd, bc):
@@ -258,6 +258,18 @@ class TestSearchPrimitives:
         with pytest.raises(InternalSolverError, match="exceeded a capacity"):
             augment(st.matching, self.hand_path(st, ("b", 0), steps))
 
+    def test_augment_accepts_a_capacity_overshoot_that_the_path_undoes(self):
+        # Column 0 (capacity 1) holds row 1.  A path from row 0 matches
+        # (0, 0) before it unmatches (1, 0), so column 0 sits one above
+        # its capacity midway and back within it at the end.
+        st = SolverState(inst([[1], [2]], [1, 0], [1, 1], [1], [1]))
+        m = st.matching
+        augment(m, self.hand_path(st, ("b", 0), (("match", 1, 0),)))
+        augment(m, self.hand_path(st, ("a", 0), (("match", 0, 0), ("unmatch", 1, 0))))
+        assert m.pairs == ((0, 0),)
+        assert list(m.deg_a) == [1, 0] and list(m.deg_b) == [1]
+        assert np.array_equal(m.lifted, m.cost + LIFT * m.matched)
+
     def test_forest_and_steps_are_plain_python_values(self):
         # Trace consumers sum and serialize these fields; numpy scalars
         # would break json.dumps.
@@ -292,6 +304,99 @@ def test_output_check_catches_broken_counters():
     demanding = SolverState(inst([[2, 3]], [1], [2], [0, 0], [1, 1]))
     with pytest.raises(InternalSolverError, match="outside its bounds"):
         solver_module._check_output(demanding)
+
+
+def test_search_arrays_are_reset_after_every_search(monkeypatch):
+    # The state's cand and unsettled arrays serve every search; each
+    # search, stuck ones included, leaves them all INF and all True.
+    original = solver_module.grow_forest
+    seen = set()
+
+    def checked(state, root):
+        try:
+            return original(state, root)
+        except InfeasibleInstanceError:
+            seen.add("stuck")
+            raise
+        finally:
+            assert np.all(state.cand == INF) and state.unsettled.all(), root
+            seen.add(root[0])
+
+    monkeypatch.setattr(solver_module, "grow_forest", checked)
+    rng = random.Random(0x5C4A7C)
+    fixtures = [draw_instance(rng, max_s=5, max_t=5, cap_max=4) for _ in range(80)]
+    # Passes the aggregate screen, then a search gets stuck.
+    fixtures.append(inst([[1, 1, 1], [1, 1, 1], [0, 0, 0]], [3, 3, 0], [3, 3, 3], [0, 0, 0], [3, 3, 1]))
+    for fixture in fixtures:
+        try:
+            solve_ga(fixture)
+        except ValueError:  # InfeasibleInstanceError included
+            pass
+    assert seen == {"a", "b", "stuck"}
+
+
+def test_search_after_another_equals_search_on_fresh_state():
+    # A search that follows another one on the same state, stuck or not,
+    # returns what the same search returns on a fresh state.
+    def outcome(state, root):
+        try:
+            path = grow_forest(state, root)
+        except InfeasibleInstanceError as err:
+            return ("stuck", err.root, err.reached)
+        return (path.forest, path.steps, path.leaf)
+
+    rng = random.Random(0xF7E5)
+    firsts = set()
+    for _ in range(40):
+        fixture = draw_feasible(rng, max_s=4, max_t=4, cap_max=3)
+        state = SolverState(fixture)
+        roots = [("a", i) for i in range(fixture.s) if fixture.a_demand[i]]
+        roots += [("b", j) for j in range(fixture.t) if fixture.b_demand[j]]
+        for first in roots:
+            for then in roots:
+                if then != first:
+                    firsts.add(outcome(state, first)[0] == "stuck")
+                    assert outcome(state, then) == outcome(SolverState(fixture), then)
+    assert firsts == {True, False}
+
+
+def test_search_with_a_settled_node_back_in_cand_raises():
+    # Detach the live masks from the state's unsettled array, so relaxes
+    # put settled nodes back into cand.  On this instance such a search
+    # never ends by itself; it must raise once it has settled more nodes
+    # than the graph has.
+    fixture = inst([[2, 5], [1, 0]], [0, 1], [2, 1], [1, 2], [1, 2])
+    state = SolverState(fixture)
+    state.blocks = {
+        group: tuple((cand, np.ones(len(cand), dtype=bool)) for cand, _ in views)
+        for group, views in state.blocks.items()
+    }
+    with pytest.raises(InternalSolverError, match="settled more than its 5 nodes"):
+        solver_module._solve(state, "ga", None, 0.0)
+    with pytest.raises(InternalSolverError, match="cycle"):
+        solver_module._reconstruct(np.array([1, 2, 0]), 0)
+
+
+def test_lifted_matrix_follows_every_pair_flip(rng):
+    # lifted == cost + LIFT * matched after every augmentation and after
+    # the prune (the observer's state is the live one, pruned on return).
+    states, pruned = [], 0
+
+    def watch(state):
+        m = state.matching
+        assert np.array_equal(m.lifted, m.cost + LIFT * m.matched)
+        states[:] = [state]
+
+    fixtures = [draw_feasible(rng, max_s=5, max_t=5, cap_max=4) for _ in range(60)]
+    fixtures.append(inst([[0, 2, 1], [0, 0, 2]], [1, 1], [1, 3], [0, 1, 2], [1, 2, 2]))
+    for fixture in fixtures:
+        states.clear()
+        _, rep = solve_ga(fixture, observer=watch)
+        pruned += rep.pruned_pairs
+        for state in states:
+            m = state.matching
+            assert np.array_equal(m.lifted, m.cost + LIFT * m.matched)
+    assert pruned >= 1
 
 
 def test_forest_read_late_equals_forest_read_at_once(monkeypatch):
@@ -528,3 +633,28 @@ def test_largest_in_domain_costs_stay_exact(rng):
         cost[0][0] = top + 1
         with pytest.raises(ValueError, match="overflow"):
             solve_ga(inst(cost, *bounds))
+
+
+def test_top_of_domain_stays_exact_on_every_small_shape():
+    # At the top of the domain the lifted entries come closest to 2**63,
+    # and s = t = 1 is the tightest case (see _check_exact_domain).  Costs
+    # mix 0, the largest accepted cost and values between, so labels and
+    # distances spread as far as the domain allows.
+    rng = random.Random(0x70D0)
+    for s in (1, 2, 3):
+        for t in (1, 2, 3):
+            for _ in range(25):
+                fixture = draw_feasible(rng, max_s=s, max_t=t)
+                while (fixture.s, fixture.t) != (s, t):
+                    fixture = draw_feasible(rng, max_s=s, max_t=t)
+                pairs = min(
+                    sum(min(c, t) for c in fixture.a_capacity),
+                    sum(min(c, s) for c in fixture.b_capacity),
+                )
+                top = (INF - 1) // (2 * s * t * (pairs + s + t + 1))
+                cost = [[rng.choice((0, top, rng.randint(0, top))) for _ in range(t)] for _ in range(s)]
+                cost[rng.randrange(s)][rng.randrange(t)] = top
+                top_inst = inst(cost, fixture.a_demand, fixture.a_capacity, fixture.b_demand, fixture.b_capacity)
+                asg, rep = solve_ga(top_inst)
+                assert asg.total_cost == brute_force_optimum(top_inst).total_cost, top_inst
+                assert rep.dual_objective == asg.total_cost
