@@ -31,6 +31,7 @@ import numpy as np
 from .model import (
     Assignment,
     Instance,
+    _is_int,
     instance_digest,
     instance_from_json,
     instance_to_json,
@@ -108,7 +109,7 @@ def _parse_assignment(path: str, inst: Instance) -> Assignment:
         raise _ParseError(f"{path}: expected an object with a \"pairs\" key")
     pairs = data["pairs"]
     if not isinstance(pairs, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(isinstance(x, int) for x in p)
+        isinstance(p, list) and len(p) == 2 and all(map(_is_int, p))
         for p in pairs
     ):
         raise _ParseError(f"{path}: \"pairs\" must be a list of [i, j] integer pairs")
@@ -124,6 +125,13 @@ def _dump_fixture(inst: Instance, prefix: str) -> str:
     with open(name, "w", encoding="utf-8") as fh:
         fh.write(instance_to_json(inst) + "\n")
     return name
+
+
+def _gen_params(command: str, **kw) -> GenParams:
+    try:
+        return GenParams(**kw)
+    except ValueError as exc:
+        raise _UsageError(f"bmatch {command}: {exc}") from exc
 
 
 def _emit(obj: dict) -> None:
@@ -217,7 +225,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_gen(args: argparse.Namespace) -> int:
     import random
 
-    params = GenParams(
+    params = _gen_params(
+        "gen",
         min_s=args.s,
         max_s=args.s,
         min_t=args.t,
@@ -233,7 +242,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
-    params = GenParams(
+    params = _gen_params(
+        "diff",
         max_s=args.max_s,
         max_t=args.max_t,
         cost_max=args.cost_max,

@@ -31,7 +31,6 @@ __all__ = [
     "WeightTransform",
     "DuplicatePairError",
     "build_expanded_graph",
-    "expand_screened",
     "transform_costs",
     "project_matching",
 ]
@@ -115,12 +114,7 @@ def build_expanded_graph(inst: Instance) -> ExpandedGraph:
     report = validate_instance(inst)
     if not report.feasible_necessary:
         raise ValueError("cannot expand an invalid instance: " + "; ".join(report.violations))
-    return expand_screened(inst, max(map(max, inst.cost)))
-
-
-def expand_screened(inst: Instance, c_max: int) -> ExpandedGraph:
-    """``build_expanded_graph`` without its screen, for an instance that
-    already passed ``validate_instance`` and whose largest cost is ``c_max``."""
+    c_max = max(map(max, inst.cost))
     return ExpandedGraph(
         instance=inst,
         transform=WeightTransform(c_max=c_max, offset=c_max + 1),

@@ -231,16 +231,10 @@ def make_assignment(inst: Instance, pairs: Iterable[tuple[int, int]]) -> Assignm
 
 
 def instance_to_json(inst: Instance) -> str:
-    """Canonical single-line JSON encoding (stable key order, no spaces)."""
-    doc = {
-        "s": inst.s,
-        "t": inst.t,
-        "cost": [list(row) for row in inst.cost],
-        "a_demand": list(inst.a_demand),
-        "a_capacity": list(inst.a_capacity),
-        "b_demand": list(inst.b_demand),
-        "b_capacity": list(inst.b_capacity),
-    }
+    """Canonical single-line JSON encoding (stable key order, no spaces).
+    The cost rows and bounds pass through as they are: tuples encode to
+    the same bytes as lists."""
+    doc = {key: getattr(inst, key) for key in _INSTANCE_KEYS}
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 

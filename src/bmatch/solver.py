@@ -55,7 +55,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .expansion import CopyRef, ExpandedGraph, expand_screened
+from .expansion import CopyRef, ExpandedGraph, build_expanded_graph
 from .model import Assignment, InfeasibleInstanceError, Instance, make_assignment, normalize_instance
 
 __all__ = [
@@ -92,12 +92,12 @@ class CapacitatedMatching:
     ``routed[i]`` counts row i's matches on its demand copy and
     ``parked[j]`` column j's matches on its surplus copy; the other two
     copy counts follow from the degrees.  ``num``/``quota`` expose the
-    four counter arrays per vertex copy.  ``cost`` and the capacities are
-    the instance's, as int64 arrays built once.  ``lifted`` is
+    four counters and their quotas per vertex copy.  ``cost``, the
+    demands, the capacities and the surplus quotas (capacity - demand)
+    are the instance's, as int64 arrays built once.  ``lifted`` is
     ``cost + LIFT * matched``, kept in step by every pair flip.
     """
 
-    graph: ExpandedGraph
     matched: np.ndarray  # (s, t) bool
     deg_a: np.ndarray
     deg_b: np.ndarray
@@ -105,16 +105,20 @@ class CapacitatedMatching:
     parked: np.ndarray
     cost: np.ndarray  # (s, t) int64
     lifted: np.ndarray  # (s, t) int64
+    a_demand: np.ndarray
     a_capacity: np.ndarray
+    a_surplus: np.ndarray
+    b_demand: np.ndarray
     b_capacity: np.ndarray
+    b_surplus: np.ndarray
 
     @classmethod
-    def empty(cls, graph: ExpandedGraph) -> "CapacitatedMatching":
-        inst = graph.instance
+    def empty(cls, inst: Instance) -> "CapacitatedMatching":
         s, t = inst.s, inst.t
         cost = np.asarray(inst.cost, dtype=np.int64)
+        a = np.array((inst.a_demand, inst.a_capacity), dtype=np.int64)
+        b = np.array((inst.b_demand, inst.b_capacity), dtype=np.int64)
         return cls(
-            graph=graph,
             matched=np.zeros((s, t), dtype=bool),
             deg_a=np.zeros(s, dtype=np.int64),
             deg_b=np.zeros(t, dtype=np.int64),
@@ -122,17 +126,13 @@ class CapacitatedMatching:
             parked=np.zeros(t, dtype=np.int64),
             cost=cost,
             lifted=cost.copy(),
-            a_capacity=np.asarray(inst.a_capacity, dtype=np.int64),
-            b_capacity=np.asarray(inst.b_capacity, dtype=np.int64),
+            a_demand=a[0], a_capacity=a[1], a_surplus=a[1] - a[0],
+            b_demand=b[0], b_capacity=b[1], b_surplus=b[1] - b[0],
         )
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(zip(*(np.nonzero(self.matched)), strict=True))
-
-    def covered(self, j: int) -> int:
-        """Column j matches counted against its demand copy."""
-        return int(self.deg_b[j] - self.parked[j])
 
     def num(self, copy: CopyRef) -> int:
         group, k = copy
@@ -147,7 +147,11 @@ class CapacitatedMatching:
         raise ValueError(f"unknown copy group {group!r}")
 
     def quota(self, copy: CopyRef) -> int:
-        return self.graph.quota(copy)
+        group, k = copy
+        quotas = {"a": self.a_demand, "a'": self.a_surplus, "b": self.b_demand, "b'": self.b_surplus}
+        if group not in quotas:
+            raise ValueError(f"unknown copy group {group!r}")
+        return int(quotas[group][k])
 
     def total_cost(self) -> int:
         return int(self.cost[self.matched].sum())
@@ -324,7 +328,8 @@ class SolverState:
     Construction runs the solve's one screen, ``normalize_instance``, then
     rejects costs outside the exact int64 domain with ``ValueError``.
     ``inst`` is the normalized instance (capacities clipped to the
-    opposite side size).
+    opposite side size).  ``c``, ``alpha``, ``alpha_cap``, ``beta`` and
+    ``beta_cap`` name the matching's arrays; ``labels`` reads ``offset``.
 
     ``cand`` and ``unsettled`` are the search's scratch arrays over node
     ids: all INF and all True between searches, which reset them.
@@ -336,12 +341,12 @@ class SolverState:
         inst = normalize_instance(inst)
         c_max = max(map(max, inst.cost))
         _check_exact_domain(inst, c_max)
-        self.graph = expand_screened(inst, c_max)
         self.inst = inst
-        self.matching = m = CapacitatedMatching.empty(self.graph)
-        self.c, self.alpha_cap, self.beta_cap = m.cost, m.a_capacity, m.b_capacity
-        self.alpha = np.asarray(inst.a_demand, dtype=np.int64)
-        self.beta = np.asarray(inst.b_demand, dtype=np.int64)
+        self.s, self.t = s, t = inst.s, inst.t
+        self.offset = c_max + 1
+        self.matching = m = CapacitatedMatching.empty(inst)
+        self.c, self.alpha, self.alpha_cap = m.cost, m.a_demand, m.a_capacity
+        self.beta, self.beta_cap = m.b_demand, m.b_capacity
         # Feasible initial duals: reduced costs start >= 0 everywhere.
         self.p = self.c.min(axis=1).astype(np.int64)
         self.q = np.zeros(inst.t, dtype=np.int64)
@@ -349,19 +354,16 @@ class SolverState:
         # How many demand units may still end in spare column capacity.
         self.park_budget = max(0, int(self.alpha.sum() - self.beta.sum()))
         self.dual_updates = 0
-        s, t = inst.s, inst.t
         self.cand = np.full(s + t + 1, INF, dtype=np.int64)
         self.unsettled = np.ones(s + t + 1, dtype=bool)
         rows, cols = ((self.cand[b], self.unsettled[b]) for b in (slice(0, s), slice(s, s + t)))
         self.blocks = {"a": (rows, cols), "b": (cols, rows)}
 
     @property
-    def s(self) -> int:
-        return self.inst.s
-
-    @property
-    def t(self) -> int:
-        return self.inst.t
+    def graph(self) -> ExpandedGraph:
+        """The vertex-split referee view of ``inst``, built on every read;
+        nothing in a solve reads it."""
+        return build_expanded_graph(self.inst)
 
     def labels(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Weight-space vertex labels (shared by demand and surplus copies).
@@ -371,26 +373,23 @@ class SolverState:
         dual.  Matched pairs have label sum <= weight (tight once ``z_ij``
         is added), unmatched pairs label sum >= weight.
         """
-        off = self.graph.transform.offset
+        off = self.offset
         return tuple(int(off - x) for x in self.p), tuple(int(-x) for x in self.q)
-
-    def reduced_costs(self) -> np.ndarray:
-        return self.c - self.p[:, None] - self.q[None, :]
 
     def check_dual_invariants(self) -> None:
         """Raise if any residual arc has negative reduced cost."""
-        rc = self.reduced_costs()
+        rc = self.c - self.p[:, None] - self.q[None, :]
         m = self.matching
         if np.any(rc[~m.matched] < 0):
             raise InternalSolverError("unmatched pair with negative reduced cost")
         if np.any(rc[m.matched] > 0):
             raise InternalSolverError("matched pair with positive reduced cost")
         fed = m.deg_a - m.routed
-        if np.any((self.mu + self.p)[fed < self.alpha_cap - self.alpha] < 0):
+        if np.any((self.mu + self.p)[fed < m.a_surplus] < 0):
             raise InternalSolverError("pool->row arc with negative reduced cost")
         if np.any((-self.p - self.mu)[fed > 0] < 0):
             raise InternalSolverError("row->pool arc with negative reduced cost")
-        if np.any((self.q - self.mu)[m.parked < self.beta_cap - self.beta] < 0):
+        if np.any((self.q - self.mu)[m.parked < m.b_surplus] < 0):
             raise InternalSolverError("column->pool arc with negative reduced cost")
         if np.any((self.mu - self.q)[m.parked > 0] < 0):
             raise InternalSolverError("pool->column arc with negative reduced cost")
@@ -413,18 +412,18 @@ class SolverState:
         )
         return value
 
-    def apply_potentials(self, forest: AlternatingForest) -> None:
+    def apply_potentials(self, search: _Search) -> None:
         """Shift potentials so the augmenting path's arcs become tight.
 
-        ``forest`` is a path's ``AlternatingForest`` or, as in a solve, the
-        search it is built from on first read: that search's distance
-        array is read directly, so no snapshot is built here.
+        ``search`` is the record a path's forest is built from on first
+        read (``path._search``); its distance array is read directly, so
+        no snapshot is built here.
         """
-        cap = forest.terminal_dist
+        cap = search.terminal_dist
         if cap <= 0:
             return
-        shift = np.minimum(np.asarray(forest.dist, dtype=np.int64), cap)
-        if forest.orientation == "row":
+        shift = np.minimum(search.dist, cap)
+        if search.orientation == "row":
             self.p -= shift[: self.s]
             self.q += shift[self.s : self.s + self.t]
             self.mu += int(shift[self.s + self.t])
@@ -504,13 +503,13 @@ def grow_forest(state: SolverState, root: CopyRef) -> AugmentingPath:
     if forward:
         g, px, py, mu = m.lifted, state.p, state.q, state.mu
         x0, y0, other = 0, s, "b"
-        x_ret, y_spare = fed > 0, m.parked < state.beta_cap - state.beta
-        y_short = (m.deg_b - m.parked) < state.beta  # columns that still need partners
+        x_ret, y_spare = fed > 0, m.parked < m.b_surplus
+        y_short = (m.deg_b - m.parked) < m.b_demand  # columns that still need partners
         pool_ends = state.park_budget > 0
     else:
         g, px, py, mu = m.lifted.T, state.q, state.p, -state.mu
         x0, y0, other = s, 0, "a"
-        x_ret, y_spare = m.parked > 0, fed < state.alpha_cap - state.alpha
+        x_ret, y_spare = m.parked > 0, fed < m.a_surplus
         y_short = np.zeros(s, dtype=bool)
         pool_ends = True
     nx, ny = len(px), len(py)
@@ -560,7 +559,7 @@ def grow_forest(state: SolverState, root: CopyRef) -> AugmentingPath:
                     break
                 # Pool without park budget left (row roots only): pass
                 # through it into a row's spare slot or a parked column unit.
-                relax(on_x, np.where(fed < state.alpha_cap - state.alpha, dv + (mu + px), INF), v)
+                relax(on_x, np.where(fed < m.a_surplus, dv + (mu + px), INF), v)
                 relax(on_y, np.where(m.parked > 0, dv + (mu - py), INF), v)
             elif x0 <= v < x0 + nx:
                 x = v - x0
@@ -645,7 +644,6 @@ def augment(m: CapacitatedMatching, path: AugmentingPath) -> CapacitatedMatching
     end, so capacities are checked once the steps are done, at the
     vertices a match step raised: only there can a degree have grown.
     """
-    inst = m.graph.instance
     raised: list[tuple[int, int]] = []
     for op in path.steps:
         kind = op[0]
@@ -669,7 +667,7 @@ def augment(m: CapacitatedMatching, path: AugmentingPath) -> CapacitatedMatching
         elif kind == "park":
             j = op[1]
             m.parked[j] += 1
-            if m.parked[j] > inst.b_capacity[j] - inst.b_demand[j]:
+            if m.parked[j] > m.b_surplus[j]:
                 raise InternalSolverError(f"column {j} parked above its surplus quota")
         elif kind == "release":
             j = op[1]
@@ -683,7 +681,7 @@ def augment(m: CapacitatedMatching, path: AugmentingPath) -> CapacitatedMatching
     if path.root[0] == "a":
         r = path.root[1]
         m.routed[r] += 1
-        if m.routed[r] > inst.a_demand[r]:
+        if m.routed[r] > m.a_demand[r]:
             raise InternalSolverError(f"row {r} routed above its demand quota")
     for i, j in raised:
         if m.deg_a[i] > m.a_capacity[i] or m.deg_b[j] > m.b_capacity[j]:
@@ -758,7 +756,7 @@ def _solve(
             if observer is not None:
                 observer(state)
     for j in range(state.t):
-        while m.covered(j) < state.beta[j]:
+        while m.deg_b[j] - m.parked[j] < state.beta[j]:
             path = grow_forest(state, ("b", j))
             augment(m, path)
             state.apply_potentials(path._search)

@@ -167,7 +167,8 @@ class TestVerify:
 
     def test_bad_assignment_payloads_are_usage_errors(self, instance_file, tmp_path):
         path = instance_file(SOLVABLE)
-        for payload in ('["not", "an", "object"]', '{"pairs": [[0]]}', '{"pairs": [[0, 9]]}'):
+        payloads = ('["not", "an", "object"]', '{"pairs": [[0]]}', '{"pairs": [[0, 9]]}', '{"pairs": [[true, 0]]}')
+        for payload in payloads:
             asg = tmp_path / "bad.json"
             asg.write_text(payload)
             assert main(["verify", path, "--assignment", str(asg)]) == EXIT_USAGE
@@ -300,6 +301,19 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert str(path) in err and "shape" in err
         assert not list(tmp_path.glob("bmatch-internal-*.json"))
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--s", "0", "--t", "2"],
+        ["gen", "--s", "3", "--t", "2", "--cap-max", "0"],
+        ["gen", "--s", "3", "--t", "2", "--cost-max", "-1"],
+        ["diff", "--trials", "3", "--max-s", "0"],
+        ["diff", "--trials", "3", "--cap-max", "0"],
+        ["diff", "--trials", "3", "--cost-max", "-1"],
+    ])
+    def test_out_of_range_generator_flags(self, argv, capsys):
+        assert main(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and "out of range" in err
 
     def test_unknown_flag(self):
         assert main(["solve", "--frobnicate", "x.json"]) == EXIT_USAGE

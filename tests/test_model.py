@@ -162,6 +162,15 @@ class TestJson:
         assert instance_digest(fixture) == instance_digest(fixture)
         assert len(instance_digest(fixture)) == 12
 
+    def test_encoding_and_digest_are_pinned(self):
+        # Fixture files and diff records are keyed by these bytes.
+        fixture = inst([[5, 7]], [2], [2], [0, 0], [1, 1])
+        assert instance_to_json(fixture) == (
+            '{"a_capacity":[2],"a_demand":[2],"b_capacity":[1,1],"b_demand":[0,0],'
+            '"cost":[[5,7]],"s":1,"t":2}'
+        )
+        assert instance_digest(fixture) == "74632672f5b1"
+
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())

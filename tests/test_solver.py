@@ -26,6 +26,7 @@ from bmatch import (
     solve_lca,
 )
 from conftest import draw_feasible, draw_instance
+from bmatch import expansion
 from bmatch import solver as solver_module
 from bmatch.oracles import brute_force_optimum, check_assignment
 from bmatch.solver import INF, LIFT
@@ -304,6 +305,39 @@ def test_output_check_catches_broken_counters():
     demanding = SolverState(inst([[2, 3]], [1], [2], [0, 0], [1, 1]))
     with pytest.raises(InternalSolverError, match="outside its bounds"):
         solver_module._check_output(demanding)
+
+
+def test_solves_build_no_expanded_graph(monkeypatch, rng):
+    # The copy view is a referee: a solve reads its bounds from the
+    # matching's arrays, and SolverState.graph builds the view on read.
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a solve built an ExpandedGraph")
+
+    cases = (
+        [(solve_ga, inst([[2, 3]], [1], [2], [1, 1], [1, 1]))]
+        + [(solve_ga, draw_feasible(rng)) for _ in range(20)]
+        + [(solve_lca, draw_feasible(rng, demands_one=True)) for _ in range(10)]
+    )
+    states = []
+    with monkeypatch.context() as patched:
+        patched.setattr(expansion.ExpandedGraph, "__init__", refuse)
+        answers = [solve(fixture, observer=states.append)[0] for solve, fixture in cases]
+    assert answers == [solve(fixture)[0] for solve, fixture in cases]
+    graph = states[0].graph
+    assert isinstance(graph, expansion.ExpandedGraph) and graph.instance == states[0].inst
+    assert graph.transform.offset == states[0].offset
+
+
+def test_matching_quotas_equal_the_copy_view(rng):
+    for _ in range(60):
+        state = SolverState(draw_feasible(rng, max_s=5, max_t=5, cap_max=4))
+        graph = expansion.build_expanded_graph(state.inst)
+        for group, n in (("a", state.s), ("a'", state.s), ("b", state.t), ("b'", state.t)):
+            for k in range(n):
+                quota = state.matching.quota((group, k))
+                assert type(quota) is int and quota == graph.quota((group, k)), (group, k)
+    with pytest.raises(ValueError, match="unknown copy group"):
+        state.matching.quota(("c", 0))
 
 
 def test_search_arrays_are_reset_after_every_search(monkeypatch):

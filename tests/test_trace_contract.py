@@ -37,8 +37,8 @@ def test_traced_solve_records_every_solver_layer():
     assert bmatch.solver.grow_forest is grow_forest
 
     spans = tracer.solve_breakdown(0)
-    # The tracer also wraps solver.build_expanded_graph, which the solver
-    # no longer calls (SolverState uses expand_screened), and
+    # The tracer also wraps solver.build_expanded_graph, which a solve
+    # never calls (only reading SolverState.graph builds the copy view), and
     # solver.project_matching and CapacitatedMatching.copy_pairs, which
     # are gone from the solve (the answer is read off the matched
     # matrix): those are known stale targets and record nothing.
