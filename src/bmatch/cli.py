@@ -157,6 +157,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 "dual_updates": report.dual_updates,
                 "dual_objective": report.dual_objective,
                 "pruned_pairs": report.pruned_pairs,
+                "warm_start_pairs": report.warm_start_pairs,
             }
         elif args.algorithm == "flow":
             assignment = solve_flow_reference(inst)

@@ -26,7 +26,8 @@ Two phases, mirroring the two vertex sides:
 * Phase 1 roots at every row whose demand is unmet (index order) and
   routes one unit per search toward a column that still needs partners
   or — when total row demand exceeds total column demand — into spare
-  column capacity ("parking").
+  column capacity ("parking").  When every demand and capacity is 1,
+  ``_warm_start`` first matches most rows without a search.
 * Phase 2 roots at every column whose demand is still unmet and searches
   backward to the pool, entering through spare row capacity.
 
@@ -254,6 +255,7 @@ class SolveReport:
     dual_objective: int
     pruned_pairs: int
     wall_time_ms: float
+    warm_start_pairs: int = 0  # phase-1 units placed by _warm_start, not by a search
 
 
 def _check_exact_domain(inst: Instance, c_max: int) -> None:
@@ -311,6 +313,20 @@ def _check_exact_domain(inst: Instance, c_max: int) -> None:
 
     All of it holds when 2*s*t*C*(P + s + t + 1) < 2**62 = INF, which is
     checked here in Python integers, before any numpy conversion.
+
+    When every bound is 1, ``_warm_start`` sets the first labels; then
+    s = t = P = n, and no pool arc or phase 2 is used.  Its q only falls
+    from the column minima, so each ``p[i] = min(c[i] - q)`` is >= 0.
+    Before any q falls every reduced cost is <= C; after, a free column
+    keeps its minimum as q and one exists while a row is free, so a free
+    row's cheapest reduced cost is <= C, and so is its second-cheapest
+    when the cheapest column is held.  Hence p <= C, and each lowered q,
+    c_ij less one of these, is >= -C.  A column that ends a path was free
+    since the warm start, so its label started in [-C, 0] and
+    D <= cost(path) as before.  Labels lie in [-C - S1, C], and every
+    bound above holds with K = (P + 2)*C: (2n + 2)*C < 2**61 and
+    n*n*K < 2**61 follow from the same check, as n*n*(3n + 1) is at least
+    2n + 2 and n*n*(n + 2).
     """
     s, t = inst.s, inst.t
     pairs = min(sum(inst.a_capacity), sum(inst.b_capacity))
@@ -689,6 +705,71 @@ def augment(m: CapacitatedMatching, path: AugmentingPath) -> CapacitatedMatching
     return m
 
 
+def _warm_start(state: SolverState) -> int:
+    """Match most rows without a search when every bound is 1.
+
+    Jonker & Volgenant's start (*Computing* 38, 1987) under reduced cost
+    ``c - p - q``; such an instance is square and has no pool arc.  Column
+    reduction sets ``q`` to the column minima and gives each column,
+    highest index first, to its lowest-index argmin row unless that row
+    holds one already; a row holding exactly one column moves its
+    second-smallest reduced cost onto that column's ``q``.  Two passes of
+    augmenting row reduction follow, each at most s steps: a free row
+    takes its cheapest column.  If a row holds it, a strict minimum lowers
+    its ``q`` to the free row's second-smallest reduced cost and the
+    displaced row goes next; a tie takes the runner-up column instead and
+    its holder waits for the next pass.  Every matched row keeps a
+    cheapest column of ``c - q``, so ``p = min(c - q)`` per row is dual
+    feasible with tight matched pairs, as ``check_dual_invariants``
+    confirms.  Returns the number of pairs matched.
+    """
+    c, n, m = state.c, state.s, state.matching
+    q, argmin = c.min(axis=0), c.argmin(axis=0)
+    col_of = np.full(n, -1, dtype=np.int64)  # row -> column, -1 when free
+    np.maximum.at(col_of, argmin, np.arange(n))
+    if n > 1:  # reduction transfer
+        single = np.flatnonzero(np.bincount(argmin, minlength=n) == 1)
+        q[col_of[single]] -= np.partition(c[single] - q, 1, axis=1)[:, 1]
+    row_of = np.full(n, -1, dtype=np.int64)  # column -> row
+    row_of[col_of[col_of >= 0]] = np.flatnonzero(col_of >= 0)
+
+    free = np.flatnonzero(col_of < 0).tolist()
+    for _ in range(2):
+        todo, free, k = free, [], 0
+        for _ in range(n):
+            if k == len(todo):
+                break
+            i = todo[k]
+            h = c[i] - q
+            j1 = int(h.argmin())
+            umin, h[j1] = int(h[j1]), INF
+            j2 = int(h.argmin())
+            strict, i0 = umin < h[j2], int(row_of[j1])
+            if strict and i0 >= 0:
+                q[j1] -= h[j2] - umin  # only a held column's q falls
+            elif i0 >= 0:
+                j1, i0 = j2, int(row_of[j2])
+            col_of[i], row_of[j1] = j1, i
+            if i0 >= 0:
+                col_of[i0] = -1
+                if strict:
+                    todo[k] = i0  # the displaced row goes next
+                    continue
+                free.append(i0)
+            k += 1
+        free += todo[k:]
+
+    rows = np.flatnonzero(col_of >= 0)
+    cols = col_of[rows]
+    m.matched[rows, cols] = True
+    m.lifted[rows, cols] += LIFT
+    m.deg_a[rows] = m.routed[rows] = m.deg_b[cols] = 1
+    state.q[:] = q
+    state.p[:] = (c - q).min(axis=1)
+    state.check_dual_invariants()
+    return len(rows)
+
+
 def _prune_unneeded_pairs(state: SolverState) -> int:
     """Drop pairs that no demand on either side needs.
 
@@ -743,7 +824,11 @@ def _solve(
     state: SolverState, algorithm: str, observer: Callable[[SolverState], None] | None, t0: float
 ) -> tuple[Assignment, SolveReport]:
     m = state.matching
-    ph1 = ph2 = 0
+    unit = all(np.all(x == 1) for x in (state.alpha, state.alpha_cap, state.beta, state.beta_cap))
+    warm = ph1 = _warm_start(state) if unit else 0
+    ph2 = 0
+    if warm and observer is not None:
+        observer(state)
 
     for i in range(state.s):
         while m.routed[i] < state.alpha[i]:
@@ -787,6 +872,7 @@ def _solve(
         dual_objective=dual,
         pruned_pairs=pruned,
         wall_time_ms=(time.perf_counter() - t0) * 1000.0,
+        warm_start_pairs=warm,
     )
     return assignment, report
 
@@ -802,11 +888,11 @@ def solve_ga(
     ``ValueError`` on malformed input or costs outside the exact int64
     domain (see ``SolverState``).
 
-    ``observer``, if given, is called after every augmentation with the
-    live ``SolverState``: the same object on every call, which the solve
-    keeps mutating and which after return holds the pruned matching.
-    Callers that want per-augmentation values must copy them inside the
-    call.
+    ``observer``, if given, is called after every augmentation, and once
+    after a warm start that placed pairs, with the live ``SolverState``:
+    the same object on every call, which the solve keeps mutating and
+    which after return holds the pruned matching.  Callers that want
+    per-augmentation values must copy them inside the call.
     """
     t0 = time.perf_counter()
     return _solve(SolverState(inst), "ga", observer, t0)

@@ -43,3 +43,10 @@ def draw_feasible(rng, **kw):
 @pytest.fixture
 def rng():
     return random.Random(0xB347C4)
+
+
+def draw_unit(rng, n, cost_max=9):
+    """One n x n instance whose every demand and capacity is 1."""
+    ones = [1] * n
+    cost = [[rng.randint(0, cost_max) for _ in range(n)] for _ in range(n)]
+    return Instance.from_lists(cost=cost, a_demand=ones, a_capacity=ones, b_demand=ones, b_capacity=ones)

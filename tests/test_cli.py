@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import pytest
 
@@ -61,6 +60,15 @@ class TestSolve:
         assert d["dual_objective"] == out["total_cost"] == 7
         assert d["phase1_augmentations"] == 2
         assert d["dual_updates"] >= 0 and d["pruned_pairs"] >= 0
+
+    def test_diagnostics_count_warm_start_pairs(self, instance_file, capsys):
+        # Every bound 1: the warm start places both pairs, and they still
+        # count as phase-1 augmentations.  SOLVABLE has a capacity-2 column.
+        one_to_one = inst([[1, 10], [10, 1]], [1, 1], [1, 1], [1, 1], [1, 1])
+        for fixture, warm in ((one_to_one, 2), (SOLVABLE, 0)):
+            assert main(["solve", instance_file(fixture)]) == EXIT_OK
+            d = json.loads(capsys.readouterr().out)["diagnostics"]
+            assert (d["warm_start_pairs"], d["phase1_augmentations"]) == (warm, 2)
 
     def test_flow_has_no_phase_diagnostics(self, instance_file, capsys):
         path = instance_file(SOLVABLE)
@@ -119,11 +127,12 @@ class TestSolve:
     ):
         path = instance_file(SOLVABLE)
         monkeypatch.chdir(tmp_path)
-        from bmatch import Assignment
+        from bmatch import Assignment, SolveReport
 
-        fake_report = SimpleNamespace(
-            phase1_augmentations=0, phase2_augmentations=0, dual_updates=0,
-            dual_objective=0, pruned_pairs=0,
+        # warm_start_pairs is left at its default of 0.
+        fake_report = SolveReport(
+            algorithm="ga", phase1_augmentations=0, phase2_augmentations=0, dual_updates=0,
+            dual_objective=0, pruned_pairs=0, wall_time_ms=0.0,
         )
 
         def liar(instance):

@@ -25,7 +25,7 @@ from bmatch import (
     solve_ga,
     solve_lca,
 )
-from conftest import draw_feasible, draw_instance
+from conftest import draw_feasible, draw_instance, draw_unit
 from bmatch import expansion
 from bmatch import solver as solver_module
 from bmatch.oracles import brute_force_optimum, check_assignment
@@ -484,10 +484,28 @@ def _solve_record(solve, fixture):
     ]
 
 
-# sha256 of every record of the seeded corpus below.  A change that moves
-# a tie-break, a counter or a message changes it; such a change updates
-# the constant and says why.
-PINNED_OUTPUTS = "304e97efc178ca63872c3dcb871b3ed7f46648cfc20d4c22beb5f175bb5df3f2"
+def _all_unit(fixture):
+    """Every demand and capacity is 1 once capacities are clipped to the
+    opposite side's size: the instances the warm start serves."""
+    bounds = (
+        *fixture.a_demand, *fixture.b_demand,
+        *(min(c, fixture.t) for c in fixture.a_capacity),
+        *(min(c, fixture.s) for c in fixture.b_capacity),
+    )
+    return set(bounds) == {1}
+
+
+def _digest(records):
+    return hashlib.sha256(json.dumps(records).encode()).hexdigest()
+
+
+# sha256 of every record of the seeded corpus below, all-unit instances
+# (see _all_unit) hashed apart from the rest, so a change to the
+# all-unit warm start shows that every other solve stayed as it was.  A
+# change that moves a tie-break, a counter or a message changes a digest;
+# such a change updates the constant and says why.
+PINNED_OUTPUTS = "2b903bacde0913e5ba90f750e22d198266dd2de7112d5436e3dc08646a982a93"
+PINNED_UNIT_OUTPUTS = "d8444e0f2314f61798ff01545679ef418bfcaf52b4a8a1f6b2f0c8f2c8262e22"
 
 
 def test_outputs_are_pinned():
@@ -495,34 +513,36 @@ def test_outputs_are_pinned():
     shapes = [{}] * 200 + [dict(max_s=7, max_t=7, cap_max=4, cost_max=30)] * 100 + [
         dict(max_s=6, max_t=6, demands_one=True)
     ] * 100
-    records = [
-        _solve_record(solve, fixture)
-        for shape in shapes
-        for fixture in [draw_instance(rng, **shape)]
-        for solve in (solve_ga, solve_lca)
-    ]
-    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
-    assert digest == PINNED_OUTPUTS
+    fixtures = [draw_instance(rng, **shape) for shape in shapes]
+    fixtures += [draw_unit(rng, n, cost_max) for n in range(2, 10) for cost_max in (3, 9, 99) * 2]
+    records = {False: [], True: []}
+    for fixture in fixtures:
+        for solve in (solve_ga, solve_lca):
+            records[_all_unit(fixture)].append(_solve_record(solve, fixture))
+    assert all(records.values())
+    assert (_digest(records[False]), _digest(records[True])) == (PINNED_OUTPUTS, PINNED_UNIT_OUTPUTS)
 
 
 # sha256 of every search of the seeded corpus below: each forest snapshot
 # with its path's steps and leaf, or a stuck search's root and reached
-# set.  It pins the settle order and tie-breaks inside grow_forest, which
-# PINNED_OUTPUTS sees only through the answers.  A change to the search
-# loop must leave it as it is; a change that means to move a search
-# updates it and says why.
-PINNED_SEARCHES = "5e15846938d31c2ba5f190c93e7786c31194e944a9a94fb3d46398922a6b6057"
+# set, all-unit instances hashed apart from the rest.  It pins the settle
+# order and tie-breaks inside grow_forest, which PINNED_OUTPUTS sees only
+# through the answers.  A change to the search loop must leave it as it
+# is; a change that means to move a search updates it and says why.
+PINNED_SEARCHES = "a3cfa7a2bfbb74ab784aee7faa4d6b6c280e0851944f623fbd04813d847c2440"
+PINNED_UNIT_SEARCHES = "05d11b80ae443363146ab7b42ab1680cfa12277ed579e349491f91f7dbbac859"
 
 
 def test_searches_are_pinned(monkeypatch):
     original = solver_module.grow_forest
-    records, seen = [], set()
+    records, seen = {False: [], True: []}, set()
+    unit = False
 
     def recording(state, root):
         try:
             path = original(state, root)
         except InfeasibleInstanceError as err:
-            records.append(["stuck", list(err.root), list(err.reached)])
+            records[unit].append(["stuck", list(err.root), list(err.reached)])
             seen.add("stuck")
             raise
         f = path.forest
@@ -536,7 +556,7 @@ def test_searches_are_pinned(monkeypatch):
             seen.add("pool finish")
         if f.settled[pool] and f.terminal != pool:
             seen.add("pool pass-through")  # the pool did not end it: no park budget left
-        records.append([dataclasses.asdict(f), [list(op) for op in path.steps], list(path.leaf)])
+        records[unit].append([dataclasses.asdict(f), [list(op) for op in path.steps], list(path.leaf)])
         return path
 
     monkeypatch.setattr(solver_module, "grow_forest", recording)
@@ -546,14 +566,18 @@ def test_searches_are_pinned(monkeypatch):
         + [dict(max_s=5, max_t=5, cap_max=5)] * 100
         + [dict(max_s=7, max_t=7, demands_one=True)] * 50
     )
-    for shape in shapes:
+    fixtures = [draw_instance(rng, **shape) for shape in shapes]
+    fixtures += [draw_unit(rng, n, cost_max) for n in range(2, 10) for cost_max in (3, 9, 99) * 2]
+    for fixture in fixtures:
+        unit = _all_unit(fixture)
         try:
-            solve_ga(draw_instance(rng, **shape))
+            solve_ga(fixture)
         except ValueError:  # InfeasibleInstanceError included
             pass
     assert seen == {"row", "col", "pool finish", "pool pass-through", "stuck"}
-    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
-    assert digest == PINNED_SEARCHES, digest
+    assert all(records.values())
+    digests = (_digest(records[False]), _digest(records[True]))
+    assert digests == (PINNED_SEARCHES, PINNED_UNIT_SEARCHES), digests
 
 
 class TestRuntimeInvariants:
@@ -692,3 +716,94 @@ def test_top_of_domain_stays_exact_on_every_small_shape():
                 asg, rep = solve_ga(top_inst)
                 assert asg.total_cost == brute_force_optimum(top_inst).total_cost, top_inst
                 assert rep.dual_objective == asg.total_cost
+
+
+def _unit_optimum(cost):
+    """Cheapest perfect matching of a square cost matrix, in Python ints:
+    for each set of columns, the cheapest way the first rows take it."""
+    best = {0: 0}
+    for row in cost:
+        nxt = {}
+        for used, value in best.items():
+            for j, c in enumerate(row):
+                if not used >> j & 1:
+                    key = used | 1 << j
+                    nxt[key] = min(nxt.get(key, value + c), value + c)
+        best = nxt
+    return best[(1 << len(cost)) - 1]
+
+
+def test_top_of_domain_stays_exact_on_unit_instances():
+    # Every bound 1, so the warm start sets the first labels: p in [0, C]
+    # and q in [-C, C] (see _check_exact_domain), with C the largest cost
+    # the domain accepts at this size.
+    rng = random.Random(0x70D1)
+    for n in range(1, 9):
+        top = (INF - 1) // (2 * n * n * (3 * n + 1))
+        for _ in range(12):
+            cost = [[rng.choice((0, top, rng.randint(0, top))) for _ in range(n)] for _ in range(n)]
+            cost[rng.randrange(n)][rng.randrange(n)] = top
+            fixture = inst(cost, [1] * n, [1] * n, [1] * n, [1] * n)
+            first = []
+
+            def watch(state):
+                if not first:
+                    first.append((state.p.copy(), state.q.copy()))
+
+            asg, rep = solve_ga(fixture, observer=watch)
+            want = _unit_optimum(cost)
+            if n <= 4:
+                assert want == brute_force_optimum(fixture).total_cost
+            assert asg.total_cost == rep.dual_objective == want, fixture
+            assert rep.warm_start_pairs >= 1
+            p, q = first[0]
+            assert p.min() >= 0 and p.max() <= top and q.min() >= -top and q.max() <= top
+            cost[0][0] = top + 1
+            with pytest.raises(ValueError, match="overflow"):
+                solve_ga(inst(cost, [1] * n, [1] * n, [1] * n, [1] * n))
+
+
+def test_unit_instances_match_linear_sum_assignment():
+    # Wide costs leave few ties; costs 0..3 are nearly all ties, so the
+    # augmenting row reduction displaces rows and leaves more to search.
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = random.Random(0x15A7)
+    beyond_column_reduction = {10**6: 0, 3: 0}
+    for n in (1, 2, 3, 5, 8, 13, 21, 34, 60):
+        for cost_max in beyond_column_reduction:
+            for _ in range(3):
+                fixture = draw_unit(rng, n, cost_max)
+                c = np.array(fixture.cost)
+                asg, rep = solve_lca(fixture)
+                rows, cols = optimize.linear_sum_assignment(c)
+                assert asg.total_cost == rep.dual_objective == int(c[rows, cols].sum())
+                assert check_assignment(fixture, asg).feasible
+                if rep.warm_start_pairs > len(set(c.argmin(axis=0).tolist())):
+                    beyond_column_reduction[cost_max] += 1
+    assert all(beyond_column_reduction.values()), beyond_column_reduction
+
+
+def test_warm_start_serves_only_all_unit_instances(monkeypatch, rng):
+    original = solver_module.grow_forest
+    searches = []
+
+    def counting(state, root):
+        searches.append(root)
+        return original(state, root)
+
+    monkeypatch.setattr(solver_module, "grow_forest", counting)
+    # Both column minima sit on distinct rows: the warm start matches every
+    # row, no search runs, and the observer still sees the solve once.
+    seen = []
+    _, rep = solve_ga(inst([[1, 2], [3, 1]], [1, 1], [1, 1], [1, 1], [1, 1]), observer=seen.append)
+    assert (rep.warm_start_pairs, rep.phase1_augmentations, len(searches), len(seen)) == (2, 2, 0, 1)
+    for _ in range(20):
+        fixture = draw_unit(rng, rng.randint(3, 12), 5)
+        searches.clear()
+        seen.clear()
+        _, rep = solve_lca(fixture, observer=seen.append)
+        assert rep.phase1_augmentations == fixture.s == rep.warm_start_pairs + len(searches)
+        assert len(seen) == 1 + len(searches) and rep.phase2_augmentations == 0
+    # A capacity of 2 that normalization keeps: no warm start.
+    _, rep = solve_ga(inst([[1, 2], [3, 1]], [1, 1], [2, 1], [1, 1], [1, 1]))
+    assert rep.warm_start_pairs == 0 and rep.phase1_augmentations == 2
