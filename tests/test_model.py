@@ -1,4 +1,7 @@
+import hashlib
 import json
+import random
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,10 @@ from bmatch import (
     normalize_instance,
     validate_instance,
 )
+
+
+class _Level(IntEnum):
+    TWO = 2
 
 
 def inst(c, ad, ac, bd, bc):
@@ -62,6 +69,39 @@ class TestValidate:
         )
         report = validate_instance(broken)
         assert any(v.startswith("type:") for v in report.violations)
+
+    def test_violations_are_pinned(self):
+        """Every verdict and message, in order, over 24,000 seeded draws of
+        odd entries (bools, floats, strings, None, an IntEnum member,
+        negatives, 2**70), ragged rows, mis-sized bound vectors and bad
+        s/t.  A change to the screen's wording or order changes the digest."""
+        rng = random.Random(20261018)
+        odd = (True, False, 1.0, -1, -3, "3", None, _Level.TWO, 2**70, 0)
+
+        def entry(low, high, rate):
+            return rng.choice(odd) if rng.random() < rate else rng.randint(low, high)
+
+        def vector(n, low, high, rate):
+            n += rng.choice((-1, 1)) if rng.random() < rate / 2 else 0
+            return tuple(entry(low, high, rate) for _ in range(n))
+
+        digest = hashlib.sha256()
+        for _ in range(24_000):
+            rate = rng.choice((0.0, 0.0, 0.02, 0.1, 0.3))
+            s, t = rng.randint(1, 3), rng.randint(1, 3)
+            rows = s + (rng.choice((-1, 1)) if rng.random() < rate / 2 else 0)
+            drawn = Instance(
+                s=rng.choice((0, -1, True, s + 1)) if rng.random() < rate / 3 else s,
+                t=rng.choice((0, -1, True, t + 1)) if rng.random() < rate / 3 else t,
+                cost=tuple(vector(t, 0, 9, rate) for _ in range(rows)),
+                a_demand=vector(s, 0, 2, rate),
+                a_capacity=vector(s, 1, 3, rate),
+                b_demand=vector(t, 0, 2, rate),
+                b_capacity=vector(t, 1, 3, rate),
+            )
+            report = validate_instance(drawn)
+            digest.update(repr((report.feasible_necessary, report.violations)).encode())
+        assert digest.hexdigest()[:16] == "3922757c63ed9c11"
 
 
 class TestNormalize:
