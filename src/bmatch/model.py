@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 __all__ = [
     "Instance",
@@ -117,20 +117,29 @@ def _is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _check_bound_vector(name: str, vec: Sequence[object], n: int, out: list[str]) -> bool:
-    if len(vec) != n:
-        out.append(f"shape: {name} has length {len(vec)}, expected {n}")
+def _screen(seq: Any, n: int, name: str, out: list[str], label: str = "") -> bool:
+    """Screen one sequence of n non-negative ints; append its violations to
+    ``out``.  The verdict takes one C-speed pass; entries are walked one by
+    one only to name the bad ones.  ``label`` (default ``name``) names the
+    sequence in shape messages."""
+    try:
+        if len(seq) != n:
+            out.append(f"shape: {label or name} has length {len(seq)}, expected {n}")
+            return False
+    except TypeError:
+        out.append(f"shape: {label or name} is not a sequence")
         return False
-    ok = True
-    for k, v in enumerate(vec):
-        if not _is_int(v) or v < 0:
-            out.append(f"type: {name}[{k}] = {v!r} is not a non-negative integer")
-            ok = False
-    return ok
+    if set(map(type, seq)) <= {int} and min(seq) >= 0:
+        return True
+    bad = [f"type: {name}[{k}] = {x!r} is not a non-negative integer"
+           for k, x in enumerate(seq) if not _is_int(x) or x < 0]
+    out.extend(bad)
+    return not bad
 
 
 def validate_instance(inst: Instance) -> ValidationReport:
-    """Check necessary feasibility conditions; never raises.
+    """Check necessary feasibility conditions; never raises, not even on
+    fields without a length (reported as ``shape:`` violations).
 
     Checks shapes, integrality, demand <= capacity on both sides,
     per-vertex demand against the opposite side size, and the two
@@ -147,37 +156,27 @@ def validate_instance(inst: Instance) -> ValidationReport:
         v.append(f"shape: s={inst.s!r}, t={inst.t!r} must be positive integers")
         return ValidationReport(False, tuple(v))
 
-    shapes_ok = True
-    if len(inst.cost) != inst.s:
-        v.append(f"shape: cost has {len(inst.cost)} rows, expected {inst.s}")
+    try:
+        shapes_ok = len(inst.cost) == inst.s
+        if not shapes_ok:
+            v.append(f"shape: cost has {len(inst.cost)} rows, expected {inst.s}")
+    except TypeError:
         shapes_ok = False
-    else:
+        v.append("shape: cost is not a sequence")
+    if shapes_ok:
         for i, row in enumerate(inst.cost):
-            if len(row) != inst.t:
-                v.append(f"shape: cost row {i} has length {len(row)}, expected {inst.t}")
-                shapes_ok = False
-            else:
-                for j, c in enumerate(row):
-                    if not _is_int(c) or c < 0:
-                        v.append(f"type: cost[{i}][{j}] = {c!r} is not a non-negative integer")
-                        shapes_ok = False
-    shapes_ok &= _check_bound_vector("a_demand", inst.a_demand, inst.s, v)
-    shapes_ok &= _check_bound_vector("a_capacity", inst.a_capacity, inst.s, v)
-    shapes_ok &= _check_bound_vector("b_demand", inst.b_demand, inst.t, v)
-    shapes_ok &= _check_bound_vector("b_capacity", inst.b_capacity, inst.t, v)
+            shapes_ok &= _screen(row, inst.t, f"cost[{i}]", v, f"cost row {i}")
+    for name, n in (("a_demand", inst.s), ("a_capacity", inst.s), ("b_demand", inst.t), ("b_capacity", inst.t)):
+        shapes_ok &= _screen(getattr(inst, name), n, name, v)
     if not shapes_ok:
         return ValidationReport(False, tuple(v))
 
-    for i in range(inst.s):
-        if inst.a_demand[i] > inst.a_capacity[i]:
-            v.append(f"bounds: a_demand[{i}]={inst.a_demand[i]} exceeds a_capacity[{i}]={inst.a_capacity[i]}")
-        if inst.a_demand[i] > inst.t:
-            v.append(f"bounds: a_demand[{i}]={inst.a_demand[i]} exceeds t={inst.t}")
-    for j in range(inst.t):
-        if inst.b_demand[j] > inst.b_capacity[j]:
-            v.append(f"bounds: b_demand[{j}]={inst.b_demand[j]} exceeds b_capacity[{j}]={inst.b_capacity[j]}")
-        if inst.b_demand[j] > inst.s:
-            v.append(f"bounds: b_demand[{j}]={inst.b_demand[j]} exceeds s={inst.s}")
+    for x, other, size in (("a", "t", inst.t), ("b", "s", inst.s)):
+        for k, (d, c) in enumerate(zip(getattr(inst, f"{x}_demand"), getattr(inst, f"{x}_capacity"))):
+            if d > c:
+                v.append(f"bounds: {x}_demand[{k}]={d} exceeds {x}_capacity[{k}]={c}")
+            if d > size:
+                v.append(f"bounds: {x}_demand[{k}]={d} exceeds {other}={size}")
 
     eff_a_cap = sum(min(c, inst.t) for c in inst.a_capacity)
     eff_b_cap = sum(min(c, inst.s) for c in inst.b_capacity)
@@ -218,7 +217,7 @@ def assignment_cost(inst: Instance, pairs: Iterable[tuple[int, int]]) -> int:
         i, j = p
         if not (0 <= i < inst.s and 0 <= j < inst.t):
             raise ValueError(f"pair {p!r} out of range for {inst.s}x{inst.t} instance")
-        if p in seen:
+        if (i, j) in seen:
             raise ValueError(f"duplicate pair {p!r}")
         seen.add((i, j))
         total += inst.cost[i][j]

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from dataclasses import replace
 from enum import IntEnum
 
 import pytest
@@ -17,6 +18,7 @@ from bmatch import (
     instance_to_json,
     make_assignment,
     normalize_instance,
+    solve_ga,
     validate_instance,
 )
 
@@ -103,6 +105,24 @@ class TestValidate:
             digest.update(repr((report.feasible_necessary, report.violations)).encode())
         assert digest.hexdigest()[:16] == "3922757c63ed9c11"
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("a_demand", None, "shape: a_demand is not a sequence"),
+            ("cost", (None,), "shape: cost row 0 is not a sequence"),
+            ("cost", 5, "shape: cost is not a sequence"),
+            ("b_capacity", 7, "shape: b_capacity is not a sequence"),
+        ],
+    )
+    def test_field_without_length_is_malformed(self, field, value, message):
+        broken = replace(inst([[1]], [1], [1], [1], [1]), **{field: value})
+        report = validate_instance(broken)
+        assert report.malformed and not report.feasible_necessary
+        assert message in report.violations
+        with pytest.raises(ValueError, match="malformed instance: shape") as err:
+            solve_ga(broken)
+        assert not isinstance(err.value, InfeasibleInstanceError)
+
 
 class TestNormalize:
     def test_clips_a_capacity_to_t(self):
@@ -150,6 +170,13 @@ class TestAssignmentCost:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError, match="duplicate"):
             assignment_cost(inst([[5]], [1], [1], [1], [1]), [(0, 0), (0, 0)])
+        with pytest.raises(ValueError, match="duplicate"):
+            assignment_cost(inst([[5]], [1], [1], [1], [1]), [[0, 0], (0, 0)])
+
+    def test_list_pairs(self):
+        fixture = inst([[1, 2], [3, 1]], [1, 1], [1, 1], [1, 1], [1, 1])
+        assert assignment_cost(fixture, [[0, 0], [1, 1]]) == 2
+        assert assignment_cost(fixture, [[0, 1], (1, 0)]) == 5
 
     @given(st.permutations([(0, 0), (0, 1), (1, 0), (1, 1)]))
     def test_order_invariant(self, pairs):
