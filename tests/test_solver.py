@@ -495,17 +495,30 @@ def _all_unit(fixture):
     return set(bounds) == {1}
 
 
+def _row_demand_zero(fixture):
+    """Every row demand is 0 (normalization leaves demands as they are):
+    the instances the column-greedy start serves."""
+    return not any(fixture.a_demand)
+
+
+def _bucket(fixture):
+    """Which pinned digest a fixture's records go to."""
+    return "unit" if _all_unit(fixture) else "row0" if _row_demand_zero(fixture) else "rest"
+
+
 def _digest(records):
     return hashlib.sha256(json.dumps(records).encode()).hexdigest()
 
 
-# sha256 of every record of the seeded corpus below, all-unit instances
-# (see _all_unit) hashed apart from the rest, so a change to the
-# all-unit warm start shows that every other solve stayed as it was.  A
-# change that moves a tie-break, a counter or a message changes a digest;
-# such a change updates the constant and says why.
-PINNED_OUTPUTS = "2b903bacde0913e5ba90f750e22d198266dd2de7112d5436e3dc08646a982a93"
+# sha256 of every record of the seeded corpus below, with all-unit
+# instances (see _all_unit) and row-demand-0 instances (see
+# _row_demand_zero) each hashed apart from the rest, so a change to one
+# warm start shows that every other solve stayed as it was.  A change
+# that moves a tie-break, a counter or a message changes a digest; such a
+# change updates the constant and says why.
+PINNED_OUTPUTS = "efa2a0fdcea9ce7b67380fa3d1e986cfd7fa51b0db3372845f533007f5e184e6"
 PINNED_UNIT_OUTPUTS = "d8444e0f2314f61798ff01545679ef418bfcaf52b4a8a1f6b2f0c8f2c8262e22"
+PINNED_ROW0_OUTPUTS = "9f5758d016d99799a3ca13770398df3df9c1eb3a93ff67b31612614c82e21639"
 
 
 def test_outputs_are_pinned():
@@ -515,34 +528,36 @@ def test_outputs_are_pinned():
     ] * 100
     fixtures = [draw_instance(rng, **shape) for shape in shapes]
     fixtures += [draw_unit(rng, n, cost_max) for n in range(2, 10) for cost_max in (3, 9, 99) * 2]
-    records = {False: [], True: []}
+    records = {"rest": [], "unit": [], "row0": []}
     for fixture in fixtures:
         for solve in (solve_ga, solve_lca):
-            records[_all_unit(fixture)].append(_solve_record(solve, fixture))
+            records[_bucket(fixture)].append(_solve_record(solve, fixture))
     assert all(records.values())
-    assert (_digest(records[False]), _digest(records[True])) == (PINNED_OUTPUTS, PINNED_UNIT_OUTPUTS)
+    digests = tuple(_digest(records[key]) for key in ("rest", "unit", "row0"))
+    assert digests == (PINNED_OUTPUTS, PINNED_UNIT_OUTPUTS, PINNED_ROW0_OUTPUTS), digests
 
 
 # sha256 of every search of the seeded corpus below: each forest snapshot
 # with its path's steps and leaf, or a stuck search's root and reached
-# set, all-unit instances hashed apart from the rest.  It pins the settle
+# set, bucketed as PINNED_OUTPUTS is.  It pins the settle
 # order and tie-breaks inside grow_forest, which PINNED_OUTPUTS sees only
 # through the answers.  A change to the search loop must leave it as it
 # is; a change that means to move a search updates it and says why.
-PINNED_SEARCHES = "a3cfa7a2bfbb74ab784aee7faa4d6b6c280e0851944f623fbd04813d847c2440"
+PINNED_SEARCHES = "4d7f23a08dd76792495b46b04b345f282e396403b102c13017577d324c0dd4b9"
 PINNED_UNIT_SEARCHES = "05d11b80ae443363146ab7b42ab1680cfa12277ed579e349491f91f7dbbac859"
+PINNED_ROW0_SEARCHES = "3a9f556aca372c6796e7b9322bb781c991b31dd8a1076d5d50724ce93ffd260d"
 
 
 def test_searches_are_pinned(monkeypatch):
     original = solver_module.grow_forest
-    records, seen = {False: [], True: []}, set()
-    unit = False
+    records, seen = {"rest": [], "unit": [], "row0": []}, set()
+    bucket = "rest"
 
     def recording(state, root):
         try:
             path = original(state, root)
         except InfeasibleInstanceError as err:
-            records[unit].append(["stuck", list(err.root), list(err.reached)])
+            records[bucket].append(["stuck", list(err.root), list(err.reached)])
             seen.add("stuck")
             raise
         f = path.forest
@@ -556,7 +571,7 @@ def test_searches_are_pinned(monkeypatch):
             seen.add("pool finish")
         if f.settled[pool] and f.terminal != pool:
             seen.add("pool pass-through")  # the pool did not end it: no park budget left
-        records[unit].append([dataclasses.asdict(f), [list(op) for op in path.steps], list(path.leaf)])
+        records[bucket].append([dataclasses.asdict(f), [list(op) for op in path.steps], list(path.leaf)])
         return path
 
     monkeypatch.setattr(solver_module, "grow_forest", recording)
@@ -569,15 +584,15 @@ def test_searches_are_pinned(monkeypatch):
     fixtures = [draw_instance(rng, **shape) for shape in shapes]
     fixtures += [draw_unit(rng, n, cost_max) for n in range(2, 10) for cost_max in (3, 9, 99) * 2]
     for fixture in fixtures:
-        unit = _all_unit(fixture)
+        bucket = _bucket(fixture)
         try:
             solve_ga(fixture)
         except ValueError:  # InfeasibleInstanceError included
             pass
     assert seen == {"row", "col", "pool finish", "pool pass-through", "stuck"}
     assert all(records.values())
-    digests = (_digest(records[False]), _digest(records[True]))
-    assert digests == (PINNED_SEARCHES, PINNED_UNIT_SEARCHES), digests
+    digests = tuple(_digest(records[key]) for key in ("rest", "unit", "row0"))
+    assert digests == (PINNED_SEARCHES, PINNED_UNIT_SEARCHES, PINNED_ROW0_SEARCHES), digests
 
 
 class TestRuntimeInvariants:
