@@ -29,7 +29,10 @@ Two phases, mirroring the two vertex sides:
   column capacity ("parking").  When every demand and capacity is 1,
   ``_warm_start`` first matches most rows without a search.
 * Phase 2 roots at every column whose demand is still unmet and searches
-  backward to the pool, entering through spare row capacity.
+  backward to the pool, entering through spare row capacity.  When every
+  row demand is 0 (phase 1 is then empty), ``_column_start`` first gives
+  each column its cheapest rows within the row capacities, without a
+  search.
 
 Both phases run one search, ``grow_forest``: phase 2 is the phase-1
 Dijkstra run on the reversed residual graph, with rows and columns
@@ -133,7 +136,7 @@ class CapacitatedMatching:
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(zip(*(np.nonzero(self.matched)), strict=True))
+        return tuple(zip(*(x.tolist() for x in np.nonzero(self.matched)), strict=True))
 
     def num(self, copy: CopyRef) -> int:
         group, k = copy
@@ -255,7 +258,9 @@ class SolveReport:
     dual_objective: int
     pruned_pairs: int
     wall_time_ms: float
-    warm_start_pairs: int = 0  # phase-1 units placed by _warm_start, not by a search
+    # Units a warm start placed, not a search: phase-1 units on all-unit
+    # instances (_warm_start), phase-2 units on row-demand-0 ones (_column_start).
+    warm_start_pairs: int = 0
 
 
 def _check_exact_domain(inst: Instance, c_max: int) -> None:
@@ -327,6 +332,17 @@ def _check_exact_domain(inst: Instance, c_max: int) -> None:
     bound above holds with K = (P + 2)*C: (2n + 2)*C < 2**61 and
     n*n*K < 2**61 follow from the same check, as n*n*(3n + 1) is at least
     2n + 2 and n*n*(n + 2).
+
+    When every row demand is 0, ``_column_start`` sets the first labels
+    and phase 1 is empty, so S1 = 0.  Each q[j] is a cost or 0, so q lies
+    in [0, C]; each p[i] is 0 or some c_ij - q_j, so p lies in [-C, 0];
+    mu = 0.  Labels start in [-C, 0].  A column the start leaves short
+    starts at -q_j <= 0, at or below the pool's label, so the phase-2
+    argument holds as it stands: D <= cost(path), and S2 is at most the
+    cost phase 2 adds, at most P*C.  Labels lie in [-C, S2], every
+    potential or difference of two is at most K = (P + 1)*C in size, and
+    a column root's label term is at most S2.  Every bound above holds
+    unchanged.
     """
     s, t = inst.s, inst.t
     pairs = min(sum(inst.a_capacity), sum(inst.b_capacity))
@@ -723,7 +739,7 @@ def _warm_start(state: SolverState) -> int:
     feasible with tight matched pairs, as ``check_dual_invariants``
     confirms.  Returns the number of pairs matched.
     """
-    c, n, m = state.c, state.s, state.matching
+    c, n = state.c, state.s
     q, argmin = c.min(axis=0), c.argmin(axis=0)
     col_of = np.full(n, -1, dtype=np.int64)  # row -> column, -1 when free
     np.maximum.at(col_of, argmin, np.arange(n))
@@ -760,14 +776,66 @@ def _warm_start(state: SolverState) -> int:
         free += todo[k:]
 
     rows = np.flatnonzero(col_of >= 0)
-    cols = col_of[rows]
-    m.matched[rows, cols] = True
-    m.lifted[rows, cols] += LIFT
-    m.deg_a[rows] = m.routed[rows] = m.deg_b[cols] = 1
+    pick = np.zeros((n, n), dtype=bool)
+    pick[rows, col_of[rows]] = True
+    return _set_start(state, pick, (c - q).min(axis=1), q)
+
+
+def _column_start(state: SolverState) -> int:
+    """Place most column demand without a search when every row demand is 0.
+
+    Column reduction (the first step of ``_warm_start``) on b-matching
+    bounds; such an instance has no phase 1 and no park budget.  Each
+    column j takes its ``beta[j]`` cheapest rows, ties to the lowest row,
+    and ``q[j]`` is the ``beta[j]``-th smallest cost of column j (0 when
+    ``beta[j]`` is 0), so every pair a column took has ``c - q <= 0`` and
+    every other pair ``c - q >= 0``; ``p`` and ``mu`` start at 0.  A row
+    over its capacity keeps the ``a_capacity[i]`` pairs with the smallest
+    ``c - q``, ties to the lowest column, and sets ``p[i]`` to the largest
+    kept value, or to ``min(0, min(c[i] - q))`` when it keeps none: dual
+    feasible for its kept and dropped pairs alike, and <= 0, which a full
+    row (no pool->row arc) may have.  Every other row keeps ``p[i] = 0``.
+    Nothing is parked and ``q >= 0``, so the pool arcs hold too.  Phase 2
+    then searches only from the columns this left short.  Returns the
+    number of pairs placed.
+    """
+    c, s, t, beta, cap = state.c, state.s, state.t, state.beta, state.alpha_cap
+    # Ranking by c*s + i (distinct keys, in int64 by the exact domain)
+    # breaks cost ties toward the lowest row; c - q ranks by (c - q)*t + j.
+    key = c * s + np.arange(s)[:, None]
+    last = np.sort(key, axis=0)[np.maximum(beta - 1, 0), np.arange(t)]
+    pick = (key <= last) & (beta > 0)
+    q = np.where(beta > 0, last // s, 0)
+    h = c - q
+    p = np.zeros(s, dtype=np.int64)
+    over = np.flatnonzero(pick.sum(axis=1) > cap)
+    if over.size:
+        k = cap[over]
+        key = np.where(pick[over], h[over] * t + np.arange(t), INF)
+        last = np.sort(key, axis=1)[np.arange(over.size), np.maximum(k - 1, 0)]
+        pick[over] &= (key <= last[:, None]) & (k > 0)[:, None]
+        p[over] = np.where(k > 0, last // t, np.minimum(0, h[over].min(axis=1)))
+    return _set_start(state, pick, p, q)
+
+
+def _set_start(state: SolverState, pick: np.ndarray, p: np.ndarray, q: np.ndarray) -> int:
+    """Write a warm start's pairs and labels onto the empty matching.
+
+    ``pick`` is the start's matched mask; ``matched``, ``lifted`` and the
+    degrees change as ``augment`` would change them, a row's pairs filling
+    its demand copy first.  One ``check_dual_invariants`` confirms the
+    start.  Returns the number of pairs placed.
+    """
+    m = state.matching
+    m.matched |= pick
+    m.lifted[pick] += LIFT
+    m.deg_a += pick.sum(axis=1)
+    m.deg_b += pick.sum(axis=0)
+    np.minimum(m.deg_a, state.alpha, out=m.routed)
+    state.p[:] = p
     state.q[:] = q
-    state.p[:] = (c - q).min(axis=1)
     state.check_dual_invariants()
-    return len(rows)
+    return int(m.deg_a.sum())
 
 
 def _prune_unneeded_pairs(state: SolverState) -> int:
@@ -777,13 +845,14 @@ def _prune_unneeded_pairs(state: SolverState) -> int:
     the optimum), so this never changes the total cost; a non-zero cost
     here means the solve was wrong and is raised loudly.  Afterwards every
     remaining pair leans on a demand slot on at least one side.  One pass
-    in index order suffices: dropping a pair only lowers degrees, so a
-    pair kept once can never become droppable later.
+    in index order over the pairs droppable at the start suffices:
+    dropping a pair only lowers degrees, so no other pair can become
+    droppable, and each candidate is checked again when its turn comes.
     """
     m = state.matching
     removed = 0
-    for i, j in zip(*np.nonzero(m.matched), strict=True):
-        i, j = int(i), int(j)
+    droppable = m.matched & (m.deg_a > state.alpha)[:, None] & (m.deg_b > state.beta)[None, :]
+    for i, j in zip(*(x.tolist() for x in np.nonzero(droppable)), strict=True):
         if m.deg_a[i] > state.alpha[i] and m.deg_b[j] > state.beta[j]:
             if state.c[i, j] != 0:
                 raise InternalSolverError(
@@ -824,9 +893,11 @@ def _solve(
     state: SolverState, algorithm: str, observer: Callable[[SolverState], None] | None, t0: float
 ) -> tuple[Assignment, SolveReport]:
     m = state.matching
-    unit = all(np.all(x == 1) for x in (state.alpha, state.alpha_cap, state.beta, state.beta_cap))
-    warm = ph1 = _warm_start(state) if unit else 0
-    ph2 = 0
+    warm = ph1 = ph2 = 0
+    if all(np.all(x == 1) for x in (state.alpha, state.alpha_cap, state.beta, state.beta_cap)):
+        warm = ph1 = _warm_start(state)
+    elif not state.alpha.any():
+        warm = ph2 = _column_start(state)
     if warm and observer is not None:
         observer(state)
 

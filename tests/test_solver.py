@@ -28,7 +28,7 @@ from bmatch import (
 from conftest import draw_feasible, draw_instance, draw_unit
 from bmatch import expansion
 from bmatch import solver as solver_module
-from bmatch.oracles import brute_force_optimum, check_assignment
+from bmatch.oracles import brute_force_optimum, check_assignment, feasibility_check, solve_flow_reference
 from bmatch.solver import INF, LIFT
 
 
@@ -518,7 +518,7 @@ def _digest(records):
 # change updates the constant and says why.
 PINNED_OUTPUTS = "efa2a0fdcea9ce7b67380fa3d1e986cfd7fa51b0db3372845f533007f5e184e6"
 PINNED_UNIT_OUTPUTS = "d8444e0f2314f61798ff01545679ef418bfcaf52b4a8a1f6b2f0c8f2c8262e22"
-PINNED_ROW0_OUTPUTS = "9f5758d016d99799a3ca13770398df3df9c1eb3a93ff67b31612614c82e21639"
+PINNED_ROW0_OUTPUTS = "f706f3f832ff8a50d2647cd876e02bba13dcbddabae9ecbd29739b4978fc8257"
 
 
 def test_outputs_are_pinned():
@@ -545,7 +545,7 @@ def test_outputs_are_pinned():
 # is; a change that means to move a search updates it and says why.
 PINNED_SEARCHES = "4d7f23a08dd76792495b46b04b345f282e396403b102c13017577d324c0dd4b9"
 PINNED_UNIT_SEARCHES = "05d11b80ae443363146ab7b42ab1680cfa12277ed579e349491f91f7dbbac859"
-PINNED_ROW0_SEARCHES = "3a9f556aca372c6796e7b9322bb781c991b31dd8a1076d5d50724ce93ffd260d"
+PINNED_ROW0_SEARCHES = "ada68a9acb0646b304796a34f510f1f732e957d28b2b901d91f57fa5d44dfc00"
 
 
 def test_searches_are_pinned(monkeypatch):
@@ -822,3 +822,198 @@ def test_warm_start_serves_only_all_unit_instances(monkeypatch, rng):
     # A capacity of 2 that normalization keeps: no warm start.
     _, rep = solve_ga(inst([[1, 2], [3, 1]], [1, 1], [2, 1], [1, 1], [1, 1]))
     assert rep.warm_start_pairs == 0 and rep.phase1_augmentations == 2
+
+
+def _draw_row_demand_zero(rng, s, t, cost_max):
+    """One s x t instance whose every row demand is 0, not necessarily
+    feasible.  Capacities and column demands may be 0, and capacities may
+    exceed the opposite side's size."""
+    a_cap = [rng.randint(0, t + 1) for _ in range(s)]
+    b_cap = [rng.randint(0, s + 1) for _ in range(t)]
+    b_dem = [rng.randint(0, min(c, s)) for c in b_cap]
+    cost = [[rng.randint(0, cost_max) for _ in range(t)] for _ in range(s)]
+    return inst(cost, [0] * s, a_cap, b_dem, b_cap)
+
+
+def _column_start_reference(fixture):
+    """The column-greedy start's rule in plain Python: the pairs it
+    places, p, q, and how many rows over capacity drop a pair that ties
+    a kept one on c - q.  ``sorted`` is stable, so ties go to the lowest
+    row and, within a row, to the lowest column."""
+    s, t, cost = fixture.s, fixture.t, fixture.cost
+    col = [[cost[i][j] for i in range(s)] for j in range(t)]
+    took = [sorted(range(s), key=col[j].__getitem__)[: fixture.b_demand[j]] for j in range(t)]
+    q = [col[j][took[j][-1]] if took[j] else 0 for j in range(t)]
+    pairs, p, tied = set(), [0] * s, 0
+    for i in range(s):
+        mine = sorted((cost[i][j] - q[j], j) for j in range(t) if i in took[j])
+        cap = min(fixture.a_capacity[i], t)
+        if len(mine) > cap:
+            tied += cap > 0 and mine[cap - 1][0] == mine[cap][0]
+            mine = mine[:cap]
+            p[i] = mine[-1][0] if mine else min(0, *(cost[i][j] - q[j] for j in range(t)))
+        pairs |= {(i, j) for _, j in mine}
+    return pairs, p, q, tied
+
+
+def test_column_start_follows_its_rule():
+    # Costs up to 0 or 2 tie nearly everywhere, so the tie-breaks decide
+    # most picks; costs up to 50 tie less.
+    rng = random.Random(0xC01)
+    checked = tied = 0
+    for _ in range(600):
+        fixture = _draw_row_demand_zero(rng, rng.randint(1, 6), rng.randint(1, 6), rng.choice((0, 2, 50)))
+        try:
+            state = SolverState(fixture)
+        except InfeasibleInstanceError:
+            continue
+        placed = solver_module._column_start(state)
+        pairs, p, q, ties = _column_start_reference(fixture)
+        m = state.matching
+        got = {(int(i), int(j)) for i, j in zip(*np.nonzero(m.matched))}
+        assert (got, state.p.tolist(), state.q.tolist(), state.mu) == (pairs, p, q, 0), fixture
+        assert placed == len(pairs) == int(m.deg_b.sum())
+        assert m.deg_a.tolist() == m.matched.sum(axis=1).tolist() and not m.routed.any()
+        assert np.array_equal(m.lifted, m.cost + LIFT * m.matched)
+        checked += 1
+        tied += ties
+    assert checked >= 300 and tied >= 40, (checked, tied)
+
+
+def test_top_of_domain_stays_exact_on_row_demand_zero_shapes(monkeypatch):
+    # Every row demand 0, so the column-greedy start sets the first labels:
+    # p in [-C, 0], q in [0, C] and mu = 0 (see _check_exact_domain), with C
+    # the largest cost the domain accepts at this size.  Each shape up to
+    # 3x3 meets a column of demand 0 and a row of capacity 0, and each with
+    # s, t >= 2 a row over its capacity whose kept and dropped pairs tie
+    # on c - q.
+    original = solver_module._column_start
+    starts = []
+
+    def recording(state):
+        placed = original(state)
+        starts.append((state.p.copy(), state.q.copy(), state.mu))
+        return placed
+
+    monkeypatch.setattr(solver_module, "_column_start", recording)
+    rng = random.Random(0x70D2)
+    for s in (1, 2, 3):
+        for t in (1, 2, 3):
+            # A row over its capacity needs two columns to take it, and
+            # another row to serve what it drops.
+            want = {"demand-0 column", "capacity-0 row"} | ({"tied over-capacity row"} if s > 1 < t else set())
+            seen, solved = set(), 0
+            for _ in range(5000):
+                if solved >= 25 and seen == want:
+                    break
+                fixture = _draw_row_demand_zero(rng, s, t, 1)
+                if not feasibility_check(fixture)[0]:
+                    continue
+                bounds = fixture.a_demand, fixture.a_capacity, fixture.b_demand, fixture.b_capacity
+                pairs = min(sum(min(c, t) for c in fixture.a_capacity), sum(min(c, s) for c in fixture.b_capacity))
+                top = (INF - 1) // (2 * s * t * (pairs + s + t + 1))
+                # Costs of 0 and top tie c - q within a row that two of its
+                # columns take as their last row.
+                cost = [[rng.choice((0, top, top, rng.randint(0, top))) for _ in range(t)] for _ in range(s)]
+                cost[rng.randrange(s)][rng.randrange(t)] = top
+                top_inst = inst(cost, *bounds)
+                starts.clear()
+                asg, rep = solve_ga(top_inst)
+                assert asg.total_cost == rep.dual_objective == brute_force_optimum(top_inst).total_cost, top_inst
+                (p, q, mu), = starts
+                assert -top <= p.min() and p.max() <= 0 and 0 <= q.min() and q.max() <= top and mu == 0
+                solved += 1
+                seen |= {"demand-0 column"} if 0 in fixture.b_demand else set()
+                seen |= {"capacity-0 row"} if 0 in fixture.a_capacity else set()
+                seen |= {"tied over-capacity row"} if _column_start_reference(top_inst)[3] else set()
+                cost[0][0] = top + 1
+                with pytest.raises(ValueError, match="overflow"):
+                    solve_ga(inst(cost, *bounds))
+            assert solved >= 25 and seen == want, (s, t, solved, seen)
+
+
+def test_row_demand_zero_instances_match_the_flow_reference():
+    rng = random.Random(0xF10)
+    feasible = infeasible = 0
+    for cost_max in (0, 1, 3, 20, 10**6):
+        for _ in range(420):
+            fixture = _draw_row_demand_zero(rng, rng.randint(1, 7), rng.randint(1, 7), cost_max)
+            try:
+                want = solve_flow_reference(fixture)
+            except InfeasibleInstanceError:
+                with pytest.raises(InfeasibleInstanceError):
+                    solve_ga(fixture)
+                infeasible += 1
+                continue
+            asg, rep = solve_ga(fixture)
+            assert asg.total_cost == rep.dual_objective == want.total_cost, fixture
+            assert check_assignment(fixture, asg).feasible
+            feasible += 1
+    assert feasible >= 1000 and infeasible >= 200, (feasible, infeasible)
+
+
+def test_row_demand_zero_instances_match_highs():
+    optimize = pytest.importorskip("scipy.optimize")
+    sparse = pytest.importorskip("scipy.sparse")
+    rng = random.Random(0x41635)
+    solved = 0
+    for s, t in ((1, 1), (3, 7), (8, 5), (13, 21), (34, 21), (40, 60), (60, 60)):
+        for cost_max in (3, 10**6):
+            fixture = None
+            while fixture is None:
+                a_cap = [rng.randint(0, 3 * t // s + 2) for _ in range(s)]
+                b_cap = [rng.randint(0, min(s, 4)) for _ in range(t)]
+                b_dem = [rng.randint(0, c) for c in b_cap]
+                cost = [[rng.randint(0, cost_max) for _ in range(t)] for _ in range(s)]
+                candidate = inst(cost, [0] * s, a_cap, b_dem, b_cap)
+                fixture = candidate if feasibility_check(candidate)[0] else None
+            # x_ij in [0, 1], row sums in [0, a_cap], column sums in
+            # [b_dem, b_cap]: a bipartite LP, so its optimum is integral.
+            cells = np.arange(s * t)
+            rows = sparse.csr_matrix((np.ones(s * t), (cells // t, cells)), shape=(s, s * t))
+            cols = sparse.csr_matrix((np.ones(s * t), (cells % t, cells)), shape=(t, s * t))
+            res = optimize.linprog(
+                np.array(cost, dtype=float).ravel(),
+                A_ub=sparse.vstack([rows, cols, -cols]),
+                b_ub=np.concatenate([a_cap, b_cap, np.negative(b_dem)]).astype(float),
+                bounds=(0, 1),
+                method="highs",
+            )
+            assert res.status == 0, res.message
+            asg, rep = solve_ga(fixture)
+            assert asg.total_cost == rep.dual_objective == round(res.fun), (s, t, cost_max)
+            assert check_assignment(fixture, asg).feasible
+            solved += 1
+    assert solved == 14
+
+
+def test_column_start_serves_only_row_demand_zero_instances(monkeypatch):
+    original = solver_module.grow_forest
+    searches = []
+
+    def counting(state, root):
+        searches.append(root)
+        return original(state, root)
+
+    monkeypatch.setattr(solver_module, "grow_forest", counting)
+    rng = random.Random(0xC02)
+    seen = []
+    started = 0
+    for _ in range(200):
+        fixture = _draw_row_demand_zero(rng, rng.randint(2, 9), rng.randint(2, 9), 5)
+        if not feasibility_check(fixture)[0]:
+            continue
+        searches.clear()
+        seen.clear()
+        _, rep = solve_ga(fixture, observer=seen.append)
+        assert rep.phase1_augmentations == 0 and rep.phase2_augmentations == sum(fixture.b_demand)
+        assert len(searches) == rep.phase2_augmentations - rep.warm_start_pairs
+        # The observer sees a start that placed pairs once, then each search.
+        assert len(seen) == len(searches) + (rep.warm_start_pairs > 0)
+        started += rep.warm_start_pairs > 0
+    assert started >= 30, started
+    # One row demand of 1: phase 1 runs, and no start places a pair.
+    searches.clear()
+    _, rep = solve_ga(inst([[1, 2], [3, 1]], [1, 0], [2, 2], [1, 1], [1, 1]))
+    assert rep.warm_start_pairs == 0 and rep.phase1_augmentations == 1
+    assert len(searches) == rep.phase1_augmentations + rep.phase2_augmentations == 2
