@@ -243,6 +243,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        raise _UsageError(f"bmatch diff: --trials {args.trials} out of range: run at least 1 trial")
     params = _gen_params(
         "diff",
         max_s=args.max_s,

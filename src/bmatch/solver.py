@@ -174,7 +174,9 @@ class AlternatingForest:
     ``dist`` holds reduced-cost distances from the root over node ids
     0..s-1 (rows), s..s+t-1 (columns), s+t (pool); INF marks unreached.
     ``parent`` holds each reached node's predecessor (-1 for none) and
-    ``settled`` the nodes the search took off its queue.
+    ``settled`` the nodes whose distance is final: those the search took
+    off its queue by least distance, and the terminal, which it settles
+    without that pick once the terminal ties the distance just settled.
     """
 
     root: CopyRef
@@ -509,9 +511,12 @@ def grow_forest(state: SolverState, root: CopyRef) -> AugmentingPath:
     Row roots (phase 1) search forward toward a column that still needs
     partners, spare column capacity, or a returnable optional row match;
     column roots (phase 2) search backward to the pool through spare row
-    capacity.  Ties prefer finishing at a demand copy over a surplus
-    copy, then the lowest index.  Raises ``InfeasibleInstanceError`` when
-    no finish is reachable, with the reached vertex set as certificate.
+    capacity.  A search ends as soon as a finish ties the distance it
+    has just settled (the early exit of Jonker & Volgenant's scan step,
+    *Computing* 38, 1987): a short column, lowest index first, before the
+    pool.  The other nodes at that distance stay unsettled.  Raises
+    ``InfeasibleInstanceError`` when no finish is reachable, with the
+    reached vertex set as certificate.
 
     Both directions run one Dijkstra.  It searches from side X (the
     root's) across pairs to side Y and through the pool; a column root is
@@ -545,6 +550,7 @@ def grow_forest(state: SolverState, root: CopyRef) -> AugmentingPath:
         y_short = np.zeros(s, dtype=bool)
         pool_ends = True
     nx, ny = len(px), len(py)
+    short = np.flatnonzero(y_short)  # empty on every column root
 
     # cand (the state's, all INF between searches) holds the tentative
     # distance of each reached, unsettled node and INF elsewhere, so one
@@ -558,6 +564,7 @@ def grow_forest(state: SolverState, root: CopyRef) -> AugmentingPath:
     on_x = (cand_x, parent[x0 : x0 + nx], live_x)
     on_y = (cand_y, parent[y0 : y0 + ny], live_y)
     order: list[int] = []  # settled nodes, in settle order
+    level = -1  # dv of the last settle if it may have put a finish at dv
 
     def relax(views: tuple, nd: np.ndarray, v: int) -> None:
         cd, par, live = views
@@ -578,6 +585,17 @@ def grow_forest(state: SolverState, root: CopyRef) -> AugmentingPath:
             dv = int(cand[v])
             if dv >= INF:
                 raise _stuck(state, root, ~unsettled)
+            if dv == level:
+                # The pick ties the settle just done, which may have put a
+                # finish at dv: if so, that finish settles instead and ends
+                # the search, the lowest short column before the pool.  No
+                # unsettled node has a cand below dv, so the path through
+                # it is a shortest one.
+                k = int(short[cand_y[short].argmin()]) if short.size else -1
+                if k >= 0 and cand_y[k] == dv:
+                    v = y0 + k
+                elif pool_ends and cand[pool] == dv:
+                    v = pool
             if len(order) > pool:
                 raise InternalSolverError(
                     f"search from {root!r} settled more than its {pool + 1} nodes"
@@ -593,11 +611,13 @@ def grow_forest(state: SolverState, root: CopyRef) -> AugmentingPath:
                 # through it into a row's spare slot or a parked column unit.
                 relax(on_x, np.where(fed < m.a_surplus, dv + (mu + px), INF), v)
                 relax(on_y, np.where(m.parked > 0, dv + (mu - py), INF), v)
+                level = dv
             elif x0 <= v < x0 + nx:
                 x = v - x0
                 nd = g[x] - py  # matched pairs: INF or above
                 nd += dv - px[x]
                 relax(on_y, nd, v)
+                level = dv  # side Y holds the short columns, if any
                 if x_ret[x]:
                     relax_pool(dv - int(px[x]) - mu, v)
             else:
@@ -607,8 +627,10 @@ def grow_forest(state: SolverState, root: CopyRef) -> AugmentingPath:
                 nd = px - g[:, y]  # unmatched pairs: INF or above
                 nd += LIFT + dv + py[y]
                 relax(on_x, nd, v)
+                level = -1  # side X holds no finish
                 if y_spare[y]:
                     relax_pool(dv + int(py[y]) - mu, v)
+                    level = dv
         np.copyto(dist, cand, where=unsettled)
         settled = ~unsettled
     finally:
@@ -617,11 +639,11 @@ def grow_forest(state: SolverState, root: CopyRef) -> AugmentingPath:
 
     D = int(dist[v])
     if v == pool:
-        # Choose the finishing arc into the pool: the other side's spare
-        # slot first, lowest index, then this side's optional match.  Only
-        # settled nodes can finish at D: the pool, highest id, settled at
-        # D, so every unsettled node has cand > D, and pool arcs have
-        # reduced cost >= 0.
+        # Choose the finishing arc into the pool among the settled nodes:
+        # the other side's spare slot first, lowest index, then this
+        # side's optional match.  Unsettled nodes may tie the pool at D,
+        # but any settled node whose pool arc reaches D ends a shortest
+        # path, and the one whose relax gave the pool its D is such a node.
         for b0, ok, label, sign, group in ((y0, y_spare, py, 1, other), (x0, x_ret, px, -1, root[0])):
             ends = [
                 u - b0 for u in order

@@ -318,6 +318,9 @@ class TestUsageErrors:
         ["diff", "--trials", "3", "--max-s", "0"],
         ["diff", "--trials", "3", "--cap-max", "0"],
         ["diff", "--trials", "3", "--cost-max", "-1"],
+        # No trial run is no check at all, not a pass.
+        ["diff", "--trials", "0"],
+        ["diff", "--trials", "-3"],
     ])
     def test_out_of_range_generator_flags(self, argv, capsys):
         assert main(argv) == EXIT_USAGE

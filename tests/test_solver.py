@@ -515,8 +515,11 @@ def _digest(records):
 # _row_demand_zero) each hashed apart from the rest, so a change to one
 # warm start shows that every other solve stayed as it was.  A change
 # that moves a tie-break, a counter or a message changes a digest; such a
-# change updates the constant and says why.
-PINNED_OUTPUTS = "efa2a0fdcea9ce7b67380fa3d1e986cfd7fa51b0db3372845f533007f5e184e6"
+# change updates the constant and says why.  PINNED_OUTPUTS last moved
+# when a search began to finish at the first finish tied at the distance
+# it settles: 7 of the corpus's 480 solved records took other pairs of
+# equal cost, and every cost and message stayed as it was.
+PINNED_OUTPUTS = "32538bf74ac0bdc1d5a7091a36eb6e26bf635707f696ed7790df84cc03d3f148"
 PINNED_UNIT_OUTPUTS = "d8444e0f2314f61798ff01545679ef418bfcaf52b4a8a1f6b2f0c8f2c8262e22"
 PINNED_ROW0_OUTPUTS = "f706f3f832ff8a50d2647cd876e02bba13dcbddabae9ecbd29739b4978fc8257"
 
@@ -543,8 +546,11 @@ def test_outputs_are_pinned():
 # order and tie-breaks inside grow_forest, which PINNED_OUTPUTS sees only
 # through the answers.  A change to the search loop must leave it as it
 # is; a change that means to move a search updates it and says why.
-PINNED_SEARCHES = "4d7f23a08dd76792495b46b04b345f282e396403b102c13017577d324c0dd4b9"
-PINNED_UNIT_SEARCHES = "05d11b80ae443363146ab7b42ab1680cfa12277ed579e349491f91f7dbbac859"
+# PINNED_SEARCHES and PINNED_UNIT_SEARCHES last moved with the early
+# finish at a tie (see PINNED_OUTPUTS): such a search settles fewer
+# nodes and may end at another finish of the same distance.
+PINNED_SEARCHES = "59461024e5e1555eab2e0471523d6f80f84ebf96e8b246537a83e12bdcf543d8"
+PINNED_UNIT_SEARCHES = "a8f0ac1fb502fc435be1422dcd188dcb731ab459f27d06f7949d8d059d0f9c9a"
 PINNED_ROW0_SEARCHES = "ada68a9acb0646b304796a34f510f1f732e957d28b2b901d91f57fa5d44dfc00"
 
 
@@ -780,10 +786,11 @@ def test_top_of_domain_stays_exact_on_unit_instances():
 
 def test_unit_instances_match_linear_sum_assignment():
     # Wide costs leave few ties; costs 0..3 are nearly all ties, so the
-    # augmenting row reduction displaces rows and leaves more to search.
+    # augmenting row reduction displaces rows and leaves more to search,
+    # and costs 0..2 leave searches that mostly end at a tied free column.
     optimize = pytest.importorskip("scipy.optimize")
     rng = random.Random(0x15A7)
-    beyond_column_reduction = {10**6: 0, 3: 0}
+    beyond_column_reduction = {10**6: 0, 3: 0, 2: 0, 1: 0, 0: 0}
     for n in (1, 2, 3, 5, 8, 13, 21, 34, 60):
         for cost_max in beyond_column_reduction:
             for _ in range(3):
@@ -1017,3 +1024,81 @@ def test_column_start_serves_only_row_demand_zero_instances(monkeypatch):
     _, rep = solve_ga(inst([[1, 2], [3, 1]], [1, 0], [2, 2], [1, 1], [1, 1]))
     assert rep.warm_start_pairs == 0 and rep.phase1_augmentations == 1
     assert len(searches) == rep.phase1_augmentations + rep.phase2_augmentations == 2
+
+
+# A search finishes at the first finish tied at the distance it is
+# settling, instead of settling every lower-id node at that distance
+# first.  Each hand-built case below pins the search's terminal and the
+# number of nodes it settled.
+def _searched(fixture, roots):
+    """Route one unit from each root in turn, as a solve does; return the
+    last path."""
+    state = SolverState(fixture)
+    for root in roots:
+        path = grow_forest(state, root)
+        state.park_budget -= path.finished_at_pool
+        augment(state.matching, path)
+        state.apply_potentials(path._search)
+    return path
+
+
+def test_row_search_finishes_at_a_short_column_tied_with_its_root():
+    # Row 1 reaches short column 2 at distance 0 on its own.  Settling
+    # ties by id would take column 0, row 0 through the matched pair
+    # (0, 0), then short column 1: four settles and a three-step path.
+    fixture = inst([[0, 0, 9], [0, 5, 0]], [1, 1], [2, 2], [1, 1, 1], [1, 1, 1])
+    path = _searched(fixture, [("a", 0), ("a", 1)])
+    f = path.forest
+    assert (f.terminal, f.terminal_dist, sum(f.settled)) == (4, 0, 2)
+    assert (path.steps, path.leaf) == ((("match", 1, 2),), ("b", 2))
+
+
+def test_row_search_with_park_budget_finishes_at_the_pool_once_it_ties():
+    # Every column has demand 0 and a spare slot, and the row demand is
+    # a park budget of 1.  Column 0's spare slot puts the pool at 0, so
+    # the pool settles next instead of after columns 1 to 3.
+    fixture = inst([[0, 0, 0, 0]], [1], [2], [0, 0, 0, 0], [1, 1, 1, 1])
+    path = _searched(fixture, [("a", 0)])
+    f = path.forest
+    assert (f.terminal, f.terminal_dist, sum(f.settled)) == (5, 0, 3)
+    assert path.finished_at_pool and path.leaf == ("b'", 0)
+    assert path.steps == (("match", 0, 0), ("park", 0))
+
+
+def test_column_search_finishes_at_the_pool_once_it_ties():
+    # Rows 1 to 4 tie at 0 from column 1, each with a spare slot.  Row 1
+    # puts the pool at 0, so the pool settles next instead of after rows
+    # 2 to 4.
+    fixture = inst([[0, 9], [0, 0], [0, 0], [0, 0], [0, 0]], [1, 0, 0, 0, 0], [1] * 5, [1, 1], [2, 2])
+    path = _searched(fixture, [("a", 0), ("b", 1)])
+    f = path.forest
+    assert (f.orientation, f.terminal, f.terminal_dist, sum(f.settled)) == ("col", 7, 0, 3)
+    assert (path.steps, path.leaf) == ((("feed", 1), ("match", 1, 1)), ("a'", 1))
+
+
+def test_tie_heavy_instances_match_the_flow_reference():
+    # Costs up to 0, 1 or 2 tie nearly everywhere, so many searches end at
+    # a tied finish.  The duals must stay feasible after every augmentation.
+    rng = random.Random(0x71E5)
+    checked = feasible = infeasible = 0
+
+    def watch(state):
+        nonlocal checked
+        state.check_dual_invariants()
+        checked += 1
+
+    for k in range(2100):
+        fixture = draw_instance(rng, max_s=7, max_t=7, cost_max=k % 3, cap_max=rng.randint(1, 4))
+        try:
+            want = solve_flow_reference(fixture)
+        except InfeasibleInstanceError:
+            with pytest.raises(InfeasibleInstanceError):
+                solve_ga(fixture)
+            infeasible += 1
+            continue
+        asg, rep = solve_ga(fixture, observer=watch)
+        assert asg.total_cost == rep.dual_objective == want.total_cost, fixture
+        assert check_assignment(fixture, asg).feasible
+        feasible += 1
+    assert feasible >= 1000 and infeasible >= 200 and checked >= 5000, (feasible, infeasible, checked)
+
