@@ -46,7 +46,6 @@ from .solver import (
     SolverState,
     augment,
     grow_forest,
-    is_free,
     solve_ga,
     solve_lca,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "SolveReport",
     "InfeasibleInstanceError",
     "InternalSolverError",
-    "is_free",
     "grow_forest",
     "augment",
     "solve_ga",

@@ -54,7 +54,8 @@ matching (``_check_output``).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -71,7 +72,6 @@ __all__ = [
     "AugmentingPath",
     "SolveReport",
     "SolverState",
-    "is_free",
     "grow_forest",
     "augment",
     "solve_ga",
@@ -95,10 +95,10 @@ class CapacitatedMatching:
 
     ``routed[i]`` counts row i's matches on its demand copy and
     ``parked[j]`` column j's matches on its surplus copy; the other two
-    copy counts follow from the degrees.  ``num``/``quota`` expose the
-    four counters and their quotas per vertex copy.  ``cost``, the
-    demands, the capacities and the surplus quotas (capacity - demand)
-    are the instance's, as int64 arrays built once.  ``lifted`` is
+    copy counts follow from the degrees, and each copy's quota is a
+    demand or surplus array below.  ``cost``, the demands, the
+    capacities and the surplus quotas (capacity - demand) are the
+    instance's, as int64 arrays built once.  ``lifted`` is
     ``cost + LIFT * matched``, kept in step by every pair flip.
     """
 
@@ -138,32 +138,8 @@ class CapacitatedMatching:
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(zip(*(x.tolist() for x in np.nonzero(self.matched)), strict=True))
 
-    def num(self, copy: CopyRef) -> int:
-        group, k = copy
-        if group == "a":
-            return int(self.routed[k])
-        if group == "a'":
-            return int(self.deg_a[k] - self.routed[k])
-        if group == "b":
-            return int(self.deg_b[k] - self.parked[k])
-        if group == "b'":
-            return int(self.parked[k])
-        raise ValueError(f"unknown copy group {group!r}")
-
-    def quota(self, copy: CopyRef) -> int:
-        group, k = copy
-        quotas = {"a": self.a_demand, "a'": self.a_surplus, "b": self.b_demand, "b'": self.b_surplus}
-        if group not in quotas:
-            raise ValueError(f"unknown copy group {group!r}")
-        return int(quotas[group][k])
-
     def total_cost(self) -> int:
         return int(self.cost[self.matched].sum())
-
-
-def is_free(copy: CopyRef, m: CapacitatedMatching) -> bool:
-    """True iff the vertex copy can take one more match (num < quota)."""
-    return m.num(copy) < m.quota(copy)
 
 
 @dataclass(frozen=True)
@@ -173,10 +149,11 @@ class AlternatingForest:
 
     ``dist`` holds reduced-cost distances from the root over node ids
     0..s-1 (rows), s..s+t-1 (columns), s+t (pool); INF marks unreached.
-    ``parent`` holds each reached node's predecessor (-1 for none) and
-    ``settled`` the nodes whose distance is final: those the search took
-    off its queue by least distance, and the terminal, which it settles
-    without that pick once the terminal ties the distance just settled.
+    ``parent`` holds each reached node's predecessor (-1 for none), the
+    first settled node whose relax gave it its distance, and ``settled``
+    the nodes whose distance is final: those the search took off its
+    queue by least distance, and the terminal, which it settles without
+    that pick once the terminal ties the distance just settled.
     """
 
     root: CopyRef
@@ -217,36 +194,25 @@ class _Search(NamedTuple):
         )
 
 
-class _BuiltOnFirstRead:
-    """``AugmentingPath.forest``: set to a ``_Search``, it keeps the search
-    (as ``_search``) and builds the forest from it on first read."""
-
-    def __get__(self, path: "AugmentingPath | None", owner: type | None = None) -> AlternatingForest:
-        if path is None:
-            raise AttributeError("forest")  # the field has no default
-        fields = path.__dict__
-        if "forest" not in fields:
-            fields["forest"] = fields["_search"].snapshot()
-        return fields["forest"]
-
-    def __set__(self, path: "AugmentingPath", value: "AlternatingForest | _Search") -> None:
-        path.__dict__["_search" if isinstance(value, _Search) else "forest"] = value
-
-
 @dataclass(frozen=True)
 class AugmentingPath:
     """Ordered primal operations realizing one cheapest augmentation.
 
-    A path from ``grow_forest`` builds its ``forest`` snapshot on first
-    read, from the search's own arrays; reading it late gives the same
-    value as reading it at once.
+    A path from ``grow_forest`` carries its search record, which
+    ``apply_potentials`` reads; ``forest`` builds the snapshot from it
+    on first read, and reading it late gives the same value as reading
+    it at once.  A hand-built path has no search and no forest.
     """
 
     root: CopyRef
     leaf: CopyRef
     steps: tuple[tuple, ...]  # ("match"|"unmatch", i, j) / ("park"|"release", j) / ("feed"|"unfeed", i)
     finished_at_pool: bool
-    forest: AlternatingForest = _BuiltOnFirstRead()  # type: ignore[assignment]
+    search: _Search | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def forest(self) -> AlternatingForest:
+        return self.search.snapshot()
 
 
 @dataclass(frozen=True)
@@ -450,7 +416,7 @@ class SolverState:
         """Shift potentials so the augmenting path's arcs become tight.
 
         ``search`` is the record a path's forest is built from on first
-        read (``path._search``); its distance array is read directly, so
+        read (``path.search``); its distance array is read directly, so
         no snapshot is built here.
         """
         cap = search.terminal_dist
@@ -514,9 +480,11 @@ def grow_forest(state: SolverState, root: CopyRef) -> AugmentingPath:
     capacity.  A search ends as soon as a finish ties the distance it
     has just settled (the early exit of Jonker & Volgenant's scan step,
     *Computing* 38, 1987): a short column, lowest index first, before the
-    pool.  The other nodes at that distance stay unsettled.  Raises
-    ``InfeasibleInstanceError`` when no finish is reachable, with the
-    reached vertex set as certificate.
+    pool.  The other nodes at that distance stay unsettled.  A pool
+    finish takes the arc its relax recorded, from the pool's parent (any
+    shortest path will do: the dual update reads distances only).
+    Raises ``InfeasibleInstanceError`` when no finish is reachable, with
+    the reached vertex set as certificate.
 
     Both directions run one Dijkstra.  It searches from side X (the
     root's) across pairs to side Y and through the pool; a column root is
@@ -528,13 +496,13 @@ def grow_forest(state: SolverState, root: CopyRef) -> AugmentingPath:
     """
     if root[0] not in ("a", "b"):
         raise ValueError(f"roots must be demand copies, got {root!r}")
-    if not is_free(root, state.matching):
+    m = state.matching
+    forward, r = root[0] == "a", root[1]
+    if not (m.routed[r] < m.a_demand[r] if forward else m.deg_b[r] - m.parked[r] < m.b_demand[r]):
         raise ValueError(f"root {root!r} is not a free demand copy")
     s, t = state.s, state.t
     pool = s + t
-    m = state.matching
     fed = m.deg_a - m.routed
-    forward = root[0] == "a"
     # x_ret: an optional match on side X that can go back to the pool;
     # y_spare: a spare surplus slot on side Y that the pool can feed.
     if forward:
@@ -563,7 +531,7 @@ def grow_forest(state: SolverState, root: CopyRef) -> AugmentingPath:
     parent = np.full(pool + 1, -1, dtype=np.int64)
     on_x = (cand_x, parent[x0 : x0 + nx], live_x)
     on_y = (cand_y, parent[y0 : y0 + ny], live_y)
-    order: list[int] = []  # settled nodes, in settle order
+    settles = 0
     level = -1  # dv of the last settle if it may have put a finish at dv
 
     def relax(views: tuple, nd: np.ndarray, v: int) -> None:
@@ -596,11 +564,11 @@ def grow_forest(state: SolverState, root: CopyRef) -> AugmentingPath:
                     v = y0 + k
                 elif pool_ends and cand[pool] == dv:
                     v = pool
-            if len(order) > pool:
+            if settles > pool:
                 raise InternalSolverError(
                     f"search from {root!r} settled more than its {pool + 1} nodes"
                 )
-            order.append(v)
+            settles += 1
             dist[v] = dv
             cand[v] = INF
             unsettled[v] = False
@@ -637,24 +605,9 @@ def grow_forest(state: SolverState, root: CopyRef) -> AugmentingPath:
         cand.fill(INF)
         unsettled.fill(True)
 
-    D = int(dist[v])
     if v == pool:
-        # Choose the finishing arc into the pool among the settled nodes:
-        # the other side's spare slot first, lowest index, then this
-        # side's optional match.  Unsettled nodes may tie the pool at D,
-        # but any settled node whose pool arc reaches D ends a shortest
-        # path, and the one whose relax gave the pool its D is such a node.
-        for b0, ok, label, sign, group in ((y0, y_spare, py, 1, other), (x0, x_ret, px, -1, root[0])):
-            ends = [
-                u - b0 for u in order
-                if 0 <= u - b0 < len(ok) and ok[u - b0] and int(dist[u]) + sign * int(label[u - b0]) - mu == D
-            ]
-            if ends:
-                leaf: CopyRef = (group + "'", min(ends))
-                parent[pool] = b0 + leaf[1]
-                break
-        else:
-            raise InternalSolverError("pool finish without a finishing arc")
+        u = int(parent[pool])  # a spare slot on side Y or an optional match on side X
+        leaf: CopyRef = (other + "'", u - y0) if y0 <= u < y0 + ny else (root[0] + "'", u - x0)
     else:
         leaf = (other, v - y0)
 
@@ -666,7 +619,7 @@ def grow_forest(state: SolverState, root: CopyRef) -> AugmentingPath:
         # pool -> root on the reversed graph.
         steps=_steps_from_chain(chain[::-1] if forward else chain, s, t),
         finished_at_pool=forward and v == pool,
-        forest=_Search(root, "row" if forward else "col", dist, parent, settled, v, D),
+        search=_Search(root, "row" if forward else "col", dist, parent, settled, v, int(dist[v])),
     )
 
 
@@ -929,7 +882,7 @@ def _solve(
             if path.finished_at_pool:
                 state.park_budget -= 1
             augment(m, path)
-            state.apply_potentials(path._search)
+            state.apply_potentials(path.search)
             ph1 += 1
             if observer is not None:
                 observer(state)
@@ -937,7 +890,7 @@ def _solve(
         while m.deg_b[j] - m.parked[j] < state.beta[j]:
             path = grow_forest(state, ("b", j))
             augment(m, path)
-            state.apply_potentials(path._search)
+            state.apply_potentials(path.search)
             ph2 += 1
             if observer is not None:
                 observer(state)
