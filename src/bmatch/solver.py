@@ -283,6 +283,11 @@ def _check_exact_domain(inst: Instance, c_max: int) -> None:
     column root.  So ``dv + py[y]`` and dv are at most min(s, t)*C + K,
     and the lifted values lie in [LIFT - C - K, LIFT + min(s, t)*C + K].
     That is inside [INF, 2**63) when (P + 1 + max(1, min(s, t)))*C < 2**61.
+    The step that settles the rows the pool fed at one distance
+    (``grow_forest``) computes, in int64 arrays, the entries each of those
+    rows' own relax would, ``g[x] - py`` and ``dv - px[x]`` among them, so
+    these bounds cover it as they stand.  It relaxes no pool arc: the pool
+    that fed the rows is already settled.
 
     All of it holds when 2*s*t*C*(P + s + t + 1) < 2**62 = INF, which is
     checked here in Python integers, before any numpy conversion.
@@ -482,7 +487,12 @@ def grow_forest(state: SolverState, root: CopyRef) -> AugmentingPath:
     *Computing* 38, 1987): a short column, lowest index first, before the
     pool.  The other nodes at that distance stay unsettled.  A pool
     finish takes the arc its relax recorded, from the pool's parent (any
-    shortest path will do: the dual update reads distances only).
+    shortest path will do: the dual update reads distances only).  When
+    that tie check's pick is a row the pool fed (a row root with no park
+    budget left), every side-X node at its distance settles in one step:
+    the lowest short column any of them is tight to finishes, from the
+    lowest row tight to it; else one ``(k, ny)`` min/argmin relaxes side
+    Y, the lowest row winning ties as it does settling one at a time.
     Raises ``InfeasibleInstanceError`` when no finish is reachable, with
     the reached vertex set as certificate.
 
@@ -534,7 +544,10 @@ def grow_forest(state: SolverState, root: CopyRef) -> AugmentingPath:
     settles = 0
     level = -1  # dv of the last settle if it may have put a finish at dv
 
-    def relax(views: tuple, nd: np.ndarray, v: int) -> None:
+    def over_cap() -> InternalSolverError:
+        return InternalSolverError(f"search from {root!r} settled more than its {pool + 1} nodes")
+
+    def relax(views: tuple, nd: np.ndarray, v: int | np.ndarray) -> None:
         cd, par, live = views
         better = nd < cd
         better &= live  # settled nodes read INF in cand; this mask guards them
@@ -564,10 +577,36 @@ def grow_forest(state: SolverState, root: CopyRef) -> AugmentingPath:
                     v = y0 + k
                 elif pool_ends and cand[pool] == dv:
                     v = pool
+                elif x0 <= v < x0 + nx and parent[v] == pool:
+                    # A row the pool fed (row roots only, no park budget
+                    # left): every side-X node at dv settles in this one
+                    # step.  The pool is settled, so none relaxes it.
+                    xs = np.flatnonzero(cand_x == dv)
+                    settles += xs.size
+                    if settles > pool + 1:
+                        raise over_cap()
+                    ids = x0 + xs
+                    dist[ids] = dv
+                    cand[ids] = INF
+                    unsettled[ids] = False
+                    tight = g[np.ix_(xs, short)] - py[short] == px[xs][:, None]
+                    hit = tight.any(axis=0)
+                    if not hit.any():
+                        # One relax of side Y; argmin takes the first of
+                        # tied rows, the one the one-node order settles first.
+                        nd = g[xs] - py
+                        nd += (dv - px[xs])[:, None]
+                        best = nd.argmin(axis=0)
+                        relax(on_y, nd[best, np.arange(ny)], ids[best])
+                        level = -1  # no short column at dv, and the pool is settled
+                        continue
+                    # A tight arc to a short column: the lowest such column
+                    # finishes, reached from the lowest row tight to it.
+                    k = int(hit.argmax())
+                    v = y0 + int(short[k])
+                    parent[v] = ids[tight[:, k].argmax()]
             if settles > pool:
-                raise InternalSolverError(
-                    f"search from {root!r} settled more than its {pool + 1} nodes"
-                )
+                raise over_cap()
             settles += 1
             dist[v] = dv
             cand[v] = INF

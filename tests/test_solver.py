@@ -389,15 +389,21 @@ def test_search_with_a_settled_node_back_in_cand_raises():
     # Detach the live masks from the state's unsettled array, so relaxes
     # put settled nodes back into cand.  On this instance such a search
     # never ends by itself; it must raise once it has settled more nodes
-    # than the graph has.
-    fixture = inst([[2, 5], [1, 0]], [0, 1], [2, 1], [1, 2], [1, 2])
-    state = SolverState(fixture)
-    state.blocks = {
-        group: tuple((cand, np.ones(len(cand), dtype=bool)) for cand, _ in views)
-        for group, views in state.blocks.items()
-    }
-    with pytest.raises(InternalSolverError, match="settled more than its 5 nodes"):
-        solver_module._solve(state, "ga", None, 0.0)
+    # than the graph has.  In the second, row 1's search feeds rows 0 and
+    # 1 back in through the pool, and the step that settles them together
+    # goes over the count.
+    leaky = [
+        (inst([[2, 5], [1, 0]], [0, 1], [2, 1], [1, 2], [1, 2]), 5),
+        (inst([[0, 0, 1], [0, 0, 1]], [1, 1], [3, 2], [0, 1, 2], [1, 1, 2]), 6),
+    ]
+    for fixture, nodes in leaky:
+        state = SolverState(fixture)
+        state.blocks = {
+            group: tuple((cand, np.ones(len(cand), dtype=bool)) for cand, _ in views)
+            for group, views in state.blocks.items()
+        }
+        with pytest.raises(InternalSolverError, match=f"settled more than its {nodes} nodes"):
+            solver_module._solve(state, "ga", None, 0.0)
     with pytest.raises(InternalSolverError, match="cycle"):
         solver_module._reconstruct(np.array([1, 2, 0]), 0)
 
@@ -538,11 +544,13 @@ def test_outputs_are_pinned():
 # order and tie-breaks inside grow_forest, which PINNED_OUTPUTS sees only
 # through the answers.  A change to the search loop must leave it as it
 # is; a change that means to move a search updates it and says why.
-# PINNED_SEARCHES last moved with the pool finish from the parent pointer
-# (see PINNED_OUTPUTS): such a search may end through another spare slot
-# or optional match of the same distance.  PINNED_UNIT_SEARCHES and
+# PINNED_SEARCHES last moved when the rows the pool feeds at one distance
+# began to settle in one step: such a search settles every fed row at the
+# finish's distance, and finishes at the lowest short column any of them
+# is tight to, from the lowest row tight to it.  Every answer in the
+# corpus, and PINNED_OUTPUTS, stayed as it was.  PINNED_UNIT_SEARCHES and
 # PINNED_ROW0_SEARCHES kept their values.
-PINNED_SEARCHES = "10049dcdee45183afe1da8b6e96125a12181982363b90d7b6e664c474ccfe416"
+PINNED_SEARCHES = "ed5dae7026e4749ea74cf71ec719a84fbc63e77218831a361572265a9c568054"
 PINNED_UNIT_SEARCHES = "a8f0ac1fb502fc435be1422dcd188dcb731ab459f27d06f7949d8d059d0f9c9a"
 PINNED_ROW0_SEARCHES = "ada68a9acb0646b304796a34f510f1f732e957d28b2b901d91f57fa5d44dfc00"
 
@@ -1094,6 +1102,76 @@ def test_column_search_finishes_through_the_first_pool_relax():
     f = path.forest
     assert (f.orientation, f.terminal, f.terminal_dist, sum(f.settled), f.parent[5]) == ("col", 5, 1, 5, 3)
     assert (path.steps, path.leaf) == ((("release", 0), ("unmatch", 0, 0), ("match", 0, 1)), ("b'", 0))
+
+
+# Once the pool passes a unit through (row roots, no park budget left),
+# the rows it feeds at one distance settle in one step when the pick is
+# one of them.  Each case below is a search from row 0: column 0's spare
+# slot puts the pool at 0, and the pool feeds rows 1 to 3 at 0.
+def test_rows_the_pool_feeds_settle_together_and_finish_at_the_lowest_tight_row():
+    # Rows 1 to 3 are all tight to short column 1.  Settling one row at a
+    # time ends at row 1 (5 settles); the batch settles rows 2 and 3 too,
+    # and the path is the same.
+    state = SolverState(inst([[0, 5], [9, 0], [9, 0], [9, 0]], [1, 0, 0, 0], [1, 1, 1, 1], [0, 1], [1, 1]))
+    path = grow_forest(state, ("a", 0))
+    f = path.forest
+    assert (f.terminal, f.terminal_dist, sum(f.settled), f.parent[5]) == (5, 0, 7, 1)
+    assert f.parent[1:4] == (6, 6, 6) and f.dist[1:4] == (0, 0, 0)
+    assert path.steps == (("match", 0, 0), ("park", 0), ("feed", 1), ("match", 1, 1))
+    assert path.leaf == ("b", 1)
+
+
+def test_rows_the_pool_feeds_relax_each_column_from_the_lowest_row_at_its_minimum():
+    # No fed row is tight to short column 1.  The fed rows reach column 1
+    # at 3, 2, 2 and column 2 at 0, 0, 0; each column's parent is the
+    # lowest row at its minimum, as when the rows settle one at a time.
+    fixture = inst(
+        [[0, 5, 9], [9, 3, 0], [9, 2, 0], [9, 2, 0]], [1, 0, 0, 0], [1] * 4, [0, 1, 0], [1, 1, 1]
+    )
+    path = grow_forest(SolverState(fixture), ("a", 0))
+    f = path.forest
+    assert (f.terminal, f.terminal_dist, sum(f.settled)) == (5, 2, 8)
+    assert f.parent[4:] == (0, 2, 1, 4)  # columns 0 to 2, then the pool
+    assert path.steps == (("match", 0, 0), ("park", 0), ("feed", 2), ("match", 2, 1))
+
+
+def test_tie_heavy_instances_without_park_budget_settle_fed_rows_together(monkeypatch):
+    # Total row demand at most total column demand, so the pool never
+    # ends a row search and every pass-through feeds rows.  Costs up to
+    # 0, 1 or 2 tie the fed rows.  Some searches must settle two or more
+    # fed rows at one distance, and some must settle a fed row above the
+    # finishing row at the finish's distance, which only the batch does.
+    original = solver_module.grow_forest
+    seen = {"together": 0, "past the finish": 0}
+
+    def counting(state, root):
+        path = original(state, root)
+        f, s = path.forest, state.s
+        fed = [x for x in range(s) if f.settled[x] and f.parent[x] == state.s + state.t]
+        dists = [f.dist[x] for x in fed]
+        seen["together"] += any(dists.count(d) >= 2 for d in dists)
+        u = f.parent[f.terminal]
+        if f.orientation == "row" and 0 <= u < s and u in fed and f.dist[u] == f.terminal_dist:
+            seen["past the finish"] += any(x > u and f.dist[x] == f.terminal_dist for x in fed)
+        return path
+
+    monkeypatch.setattr(solver_module, "grow_forest", counting)
+    rng = random.Random(0xBA7C)
+    checked = solved = 0
+
+    def watch(state):
+        nonlocal checked
+        state.check_dual_invariants()
+        checked += 1
+
+    while solved < 400:
+        fixture = draw_feasible(rng, max_s=7, max_t=7, cost_max=solved % 3, cap_max=rng.randint(1, 4))
+        if sum(fixture.a_demand) > sum(fixture.b_demand):
+            continue
+        asg, rep = solve_ga(fixture, observer=watch)
+        assert asg.total_cost == rep.dual_objective == solve_flow_reference(fixture).total_cost, fixture
+        solved += 1
+    assert checked >= 1000 and min(seen.values()) >= 10, (checked, seen)
 
 
 def test_tie_heavy_instances_match_the_flow_reference(monkeypatch):
