@@ -32,6 +32,7 @@ from .model import (
     Assignment,
     Instance,
     _is_int,
+    _pair_cost,
     instance_digest,
     instance_from_json,
     instance_to_json,
@@ -116,8 +117,7 @@ def _parse_assignment(path: str, inst: Instance) -> Assignment:
     for i, j in pairs:
         if not (0 <= i < inst.s and 0 <= j < inst.t):
             raise _ParseError(f"{path}: pair [{i}, {j}] out of range for a {inst.s}x{inst.t} instance")
-    cost = sum(inst.cost[i][j] for i, j in pairs)
-    return Assignment(pairs=tuple((i, j) for i, j in pairs), total_cost=cost)
+    return Assignment(pairs=tuple((i, j) for i, j in pairs), total_cost=_pair_cost(inst, pairs))
 
 
 def _dump_fixture(inst: Instance, prefix: str) -> str:

@@ -15,7 +15,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import chain
 from typing import Any, Iterable, Sequence
+
+import numpy as np
 
 __all__ = [
     "Instance",
@@ -55,6 +59,7 @@ class Instance:
     Construction is deliberately permissive: inconsistent shapes or bad
     bounds are representable so that ``validate_instance`` can report on
     them.  Every solver entry point normalizes and validates first.
+    ``costs`` is ``cost`` as a read-only int64 array, built once on first read (OverflowError beyond int64).
     """
 
     s: int
@@ -83,6 +88,12 @@ class Instance:
             b_demand=tuple(int(x) for x in b_demand),
             b_capacity=tuple(int(x) for x in b_capacity),
         )
+
+    @cached_property
+    def costs(self) -> np.ndarray:
+        costs = np.array(self.cost, dtype=np.int64)
+        costs.flags.writeable = False
+        return costs
 
 
 @dataclass(frozen=True)
@@ -164,7 +175,13 @@ def validate_instance(inst: Instance) -> ValidationReport:
         shapes_ok = False
         v.append("shape: cost is not a sequence")
     if shapes_ok:
-        for i, row in enumerate(inst.cost):
+        # Walk the rows only to name what fails, or to pass int subclasses and costs beyond int64.
+        try:
+            fast = set(map(len, inst.cost)) == {inst.t} and set(map(type, chain.from_iterable(inst.cost))) <= {int}
+            fast = fast and inst.costs.min() >= 0
+        except (TypeError, OverflowError):
+            fast = False
+        for i, row in enumerate(() if fast else inst.cost):
             shapes_ok &= _screen(row, inst.t, f"cost[{i}]", v, f"cost row {i}")
     for name, n in (("a_demand", inst.s), ("a_capacity", inst.s), ("b_demand", inst.t), ("b_capacity", inst.t)):
         shapes_ok &= _screen(getattr(inst, name), n, name, v)
@@ -194,39 +211,56 @@ def normalize_instance(inst: Instance) -> Instance:
     Malformed input raises ``ValueError("malformed instance: ...")`` and
     violated bounds ``InfeasibleInstanceError``.  Otherwise returns the
     instance with ``a_capacity[i]`` lowered to ``min(a_capacity[i], t)``
-    (a row never uses more than t distinct columns), ``b_capacity`` alike.
-    Idempotent.
+    (a row never uses more than t distinct columns), ``b_capacity`` alike,
+    sharing the screen's cost array.  Idempotent.
     """
     report = validate_instance(inst)
     if report.malformed:
         raise ValueError("malformed instance: " + "; ".join(report.violations))
     if not report.feasible_necessary:
         raise InfeasibleInstanceError("instance bounds cannot be satisfied: " + "; ".join(report.violations))
-    return replace(
+    out = replace(
         inst,
         a_capacity=tuple(min(c, inst.t) for c in inst.a_capacity),
         b_capacity=tuple(min(c, inst.s) for c in inst.b_capacity),
     )
+    if "costs" in vars(inst):
+        vars(out)["costs"] = inst.costs
+    return out
 
 
-def assignment_cost(inst: Instance, pairs: Iterable[tuple[int, int]]) -> int:
-    """Total cost of a pair set.  Rejects out-of-range and duplicate pairs."""
+def assignment_cost(inst: Instance, pairs: Iterable[tuple[int, int]] | np.ndarray) -> int:
+    """Total cost of a pair set or (n, 2) index array.  Rejects out-of-range and
+    duplicate pairs; they are walked one by one only to name the first bad one."""
+    ps = pairs if isinstance(pairs, np.ndarray) else list(pairs)
+    s, t = inst.s, inst.t
+    try:
+        ij = np.array(ps).reshape(len(ps), 2)
+        ok = ij.dtype.kind == "i" and ((0 <= ij) & (ij < (s, t))).all()
+        ok = ok and np.diff(np.sort(ij[:, 0] * t + ij[:, 1])).all()  # no pair twice
+    except (TypeError, ValueError):
+        ok = False
     seen: set[tuple[int, int]] = set()
-    total = 0
-    for p in pairs:
+    for p in () if ok else ps:
         i, j = p
-        if not (0 <= i < inst.s and 0 <= j < inst.t):
-            raise ValueError(f"pair {p!r} out of range for {inst.s}x{inst.t} instance")
+        if not (0 <= i < s and 0 <= j < t):
+            raise ValueError(f"pair {p!r} out of range for {s}x{t} instance")
         if (i, j) in seen:
             raise ValueError(f"duplicate pair {p!r}")
         seen.add((i, j))
-        total += inst.cost[i][j]
-    return total
+    return _pair_cost(inst, ij if ok else ps)
 
 
 def make_assignment(inst: Instance, pairs: Iterable[tuple[int, int]]) -> Assignment:
     ps = tuple(sorted((int(i), int(j)) for i, j in pairs))
     return Assignment(pairs=ps, total_cost=assignment_cost(inst, ps))
+
+
+def _pair_cost(inst: Instance, pairs: Sequence[Sequence[int]]) -> int:
+    """Exact cost of in-range pairs, repeats included; the rows price them until ``costs`` is built."""
+    if "costs" not in vars(inst):
+        return sum(inst.cost[i][j] for i, j in pairs)
+    return sum(inst.costs[tuple(np.array(pairs, dtype=np.int64).reshape(len(pairs), 2).T)].tolist())
 
 
 def instance_to_json(inst: Instance) -> str:

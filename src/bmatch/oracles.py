@@ -20,6 +20,7 @@ import numpy as np
 from .model import (
     Assignment,
     Instance,
+    _pair_cost,
     instance_digest,
     instance_to_json,
     make_assignment,
@@ -61,32 +62,24 @@ def check_assignment(inst: Instance, asg: Assignment) -> VerifyReport:
     since no degree can be attributed to a vertex that does not exist.
     """
     s, t = inst.s, inst.t
-    deg_a = [0] * s
-    deg_b = [0] * t
-    seen: dict[tuple[int, int], int] = {}
-    cost = 0
     for i, j in asg.pairs:
         if not (0 <= i < s and 0 <= j < t):
             raise ValueError(f"pair ({i}, {j}) out of range for a {s}x{t} instance")
-        deg_a[i] += 1
-        deg_b[j] += 1
-        cost += inst.cost[i][j]
-        seen[(i, j)] = seen.get((i, j), 0) + 1
-    violations: list[tuple[str, int, tuple[int, int]]] = []
-    for i in range(s):
-        lo, hi = inst.a_demand[i], inst.a_capacity[i]
-        if not lo <= deg_a[i] <= hi:
-            violations.append((f"a{i}", deg_a[i], (lo, hi)))
-    for j in range(t):
-        lo, hi = inst.b_demand[j], inst.b_capacity[j]
-        if not lo <= deg_b[j] <= hi:
-            violations.append((f"b{j}", deg_b[j], (lo, hi)))
-    duplicates = tuple(sorted(p for p, n in seen.items() if n > 1))
+    i, j = np.array(asg.pairs, dtype=np.int64).reshape(-1, 2).T
+    deg = {"a": np.bincount(i, minlength=s).tolist(), "b": np.bincount(j, minlength=t).tolist()}
+    violations = tuple(
+        (f"{x}{k}", d, (lo, hi))
+        for x in "ab"
+        for k, (d, lo, hi) in enumerate(zip(deg[x], getattr(inst, f"{x}_demand"), getattr(inst, f"{x}_capacity")))
+        if not lo <= d <= hi
+    )
+    keys, counts = np.unique(i * t + j, return_counts=True)
+    duplicates = tuple(divmod(k, t) for k in keys[counts > 1].tolist())
     return VerifyReport(
         feasible=not violations and not duplicates,
-        degree_violations=tuple(violations),
+        degree_violations=violations,
         duplicate_pairs=duplicates,
-        recomputed_cost=cost,
+        recomputed_cost=_pair_cost(inst, asg.pairs),
     )
 
 
@@ -106,8 +99,7 @@ def brute_force_optimum(inst: Instance) -> Assignment:
     n_masks = 1 << cells
     masks = np.arange(n_masks, dtype=np.int64)
     bits = ((masks[:, None] >> np.arange(cells)) & 1).astype(np.int64)  # cell k = (k//t, k%t)
-    costs_flat = np.asarray(inst.cost, dtype=np.int64).reshape(-1)
-    total = bits @ costs_flat
+    total = bits @ inst.costs.reshape(-1)
     ok = np.ones(n_masks, dtype=bool)
     for i in range(s):
         deg = bits[:, i * t : (i + 1) * t].sum(axis=1)

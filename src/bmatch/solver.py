@@ -61,7 +61,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .expansion import CopyRef, ExpandedGraph, build_expanded_graph
-from .model import Assignment, InfeasibleInstanceError, Instance, make_assignment, normalize_instance
+from .model import Assignment, InfeasibleInstanceError, Instance, assignment_cost, normalize_instance
 
 __all__ = [
     "INF",
@@ -119,7 +119,6 @@ class CapacitatedMatching:
     @classmethod
     def empty(cls, inst: Instance) -> "CapacitatedMatching":
         s, t = inst.s, inst.t
-        cost = np.asarray(inst.cost, dtype=np.int64)
         a = np.array((inst.a_demand, inst.a_capacity), dtype=np.int64)
         b = np.array((inst.b_demand, inst.b_capacity), dtype=np.int64)
         return cls(
@@ -128,8 +127,8 @@ class CapacitatedMatching:
             deg_b=np.zeros(t, dtype=np.int64),
             routed=np.zeros(s, dtype=np.int64),
             parked=np.zeros(t, dtype=np.int64),
-            cost=cost,
-            lifted=cost.copy(),
+            cost=inst.costs,
+            lifted=inst.costs.copy(),
             a_demand=a[0], a_capacity=a[1], a_surplus=a[1] - a[0],
             b_demand=b[0], b_capacity=b[1], b_surplus=b[1] - b[0],
         )
@@ -137,9 +136,6 @@ class CapacitatedMatching:
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(zip(*(x.tolist() for x in np.nonzero(self.matched)), strict=True))
-
-    def total_cost(self) -> int:
-        return int(self.cost[self.matched].sum())
 
 
 @dataclass(frozen=True)
@@ -290,7 +286,9 @@ def _check_exact_domain(inst: Instance, c_max: int) -> None:
     that fed the rows is already settled.
 
     All of it holds when 2*s*t*C*(P + s + t + 1) < 2**62 = INF, which is
-    checked here in Python integers, before any numpy conversion.
+    checked here in Python integers.  C is the max of the screen's int64
+    cost array.  A cost beyond int64 fails that conversion, so no array is
+    built; the caller then passes the rows' exact max, which fails here.
 
     When every bound is 1, ``_warm_start`` sets the first labels; then
     s = t = P = n, and no pool arc or phase 2 is used.  Its q only falls
@@ -344,7 +342,7 @@ class SolverState:
 
     def __init__(self, inst: Instance):
         inst = normalize_instance(inst)
-        c_max = max(map(max, inst.cost))
+        c_max = int(inst.costs.max()) if "costs" in vars(inst) else max(map(max, inst.cost))
         _check_exact_domain(inst, c_max)
         self.inst = inst
         self.s, self.t = s, t = inst.s, inst.t
@@ -937,7 +935,7 @@ def _solve(
     if np.any(m.routed != state.alpha) or np.any(m.deg_b - m.parked != state.beta):
         raise InternalSolverError("phases ended with unmet demand")
 
-    cost = m.total_cost()
+    cost = int(m.cost[m.matched].sum())
     dual = state.dual_objective()
     if dual != cost:
         raise InternalSolverError(
@@ -945,7 +943,8 @@ def _solve(
         )
     pruned = _prune_unneeded_pairs(state)
     _check_output(state)
-    assignment = make_assignment(state.inst, m.pairs)
+    ij = np.argwhere(m.matched)
+    assignment = Assignment(pairs=tuple(zip(*ij.T.tolist())), total_cost=assignment_cost(state.inst, ij))
     if assignment.total_cost != cost:
         raise InternalSolverError("pruning changed the total cost")
 
@@ -991,6 +990,6 @@ def solve_lca(
     ``observer`` receives the live state, as in ``solve_ga``."""
     t0 = time.perf_counter()
     state = SolverState(inst)
-    if any(d != 1 for d in state.inst.a_demand) or any(d != 1 for d in state.inst.b_demand):
+    if np.any(state.alpha != 1) or np.any(state.beta != 1):
         raise ValueError("this algorithm requires every demand to be exactly 1")
     return _solve(state, "lca", observer, t0)

@@ -10,6 +10,7 @@ import importlib.util
 from pathlib import Path
 
 import bmatch
+import bmatch.cli  # spans.targets wraps bmatch.cli, which `import bmatch` leaves unloaded
 from bmatch import Instance
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
