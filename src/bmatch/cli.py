@@ -33,6 +33,7 @@ from .model import (
     Instance,
     _is_int,
     _pair_cost,
+    _sha12,
     instance_digest,
     instance_from_json,
     instance_to_json,
@@ -121,9 +122,10 @@ def _parse_assignment(path: str, inst: Instance) -> Assignment:
 
 
 def _dump_fixture(inst: Instance, prefix: str) -> str:
-    name = f"{prefix}-{instance_digest(inst)}.json"
+    text = instance_to_json(inst)
+    name = f"{prefix}-{_sha12(text.encode())}.json"
     with open(name, "w", encoding="utf-8") as fh:
-        fh.write(instance_to_json(inst) + "\n")
+        fh.write(text + "\n")
     return name
 
 
@@ -237,8 +239,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         demands_one=args.demands_one,
     )
     inst = random_instance(params, random.Random(args.seed))
-    print(instance_to_json(inst))
-    log.info("generated %dx%d instance, digest %s", inst.s, inst.t, instance_digest(inst))
+    text = instance_to_json(inst)
+    print(text)
+    log.info("generated %dx%d instance, digest %s", inst.s, inst.t, _sha12(text.encode()))
     return EXIT_OK
 
 

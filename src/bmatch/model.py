@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 _INSTANCE_KEYS = ("s", "t", "cost", "a_demand", "a_capacity", "b_demand", "b_capacity")
+# What is left of a canonical document once digits, punctuation and quotes are deleted.
+_CANONICAL_KEYS = "".join(sorted(_INSTANCE_KEYS)).encode()
 
 
 class InfeasibleInstanceError(ValueError):
@@ -60,6 +62,7 @@ class Instance:
     bounds are representable so that ``validate_instance`` can report on
     them.  Every solver entry point normalizes and validates first.
     ``costs`` is ``cost`` as a read-only int64 array, built once on first read (OverflowError beyond int64).
+    ``digest`` is ``instance_digest``'s value, computed once; ``instance_from_json`` fills it from canonical text.
     """
 
     s: int
@@ -94,6 +97,10 @@ class Instance:
         costs = np.array(self.cost, dtype=np.int64)
         costs.flags.writeable = False
         return costs
+
+    @cached_property
+    def digest(self) -> str:
+        return _sha12(instance_to_json(self).encode())
 
 
 @dataclass(frozen=True)
@@ -272,7 +279,24 @@ def instance_to_json(inst: Instance) -> str:
 
 
 def instance_from_json(text: str) -> Instance:
-    """Parse an instance document.  Unknown keys are rejected."""
+    """Parse an instance document.  Unknown keys are rejected.
+
+    When ``text`` already is the canonical encoding, the instance's digest
+    is taken from its bytes, so it is never encoded again.  Once the
+    document has passed the checks below (exactly the 7 keys), the bytes
+    ``data`` of ``text`` stripped of JSON whitespace are canonical if they
+    hold 14 quotes and deleting digits, ``,:[]{}`` and quotes leaves the
+    sorted keys run together.  14 quotes means the only strings are the 7
+    keys, each once and unescaped; the keys then account for every letter
+    left, in text order, and of the 5,040 orders only the sorted one spells
+    that string.  So nothing else survives the deletion: no whitespace, no
+    ``-``, ``.``, ``+`` or ``\\``, no ``true``, ``null``, ``NaN`` or exponent.
+    Every value is built of non-negative integers (JSON bars leading zeros),
+    lists and empty objects, and ``json.dumps(doc, sort_keys=True,
+    separators=(",", ":"))``, which encodes tuples like lists, gives back
+    ``data`` exactly.  Any other text, canonical ones with strings, floats
+    or negatives among the values included, is encoded when the digest is read.
+    """
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("instance document must be a JSON object")
@@ -290,7 +314,11 @@ def instance_from_json(text: str) -> Instance:
     for key in ("a_demand", "a_capacity", "b_demand", "b_capacity"):
         if not isinstance(doc[key], list):
             raise ValueError(f"{key} must be a list")
-    return Instance(
+    data = text.strip(" \t\n\r").encode()
+    canonical = data.count(b'"') == 14 and data.translate(None, b'0123456789,:[]{}"') == _CANONICAL_KEYS
+    digest = _sha12(data) if canonical else None
+    del data  # not alive with the tuples below
+    inst = Instance(
         s=doc["s"],
         t=doc["t"],
         cost=tuple(tuple(row) for row in cost),
@@ -299,8 +327,19 @@ def instance_from_json(text: str) -> Instance:
         b_demand=tuple(doc["b_demand"]),
         b_capacity=tuple(doc["b_capacity"]),
     )
+    if digest is not None:
+        vars(inst)["digest"] = digest
+    return inst
+
+
+def _sha12(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:12]
 
 
 def instance_digest(inst: Instance) -> str:
-    """Short stable content hash, used to key differential-test fixtures."""
-    return hashlib.sha256(instance_to_json(inst).encode()).hexdigest()[:12]
+    """First 12 hex digits of the SHA-256 of ``instance_to_json(inst)``.
+
+    It keys differential-test fixtures and every ``solve`` output; the
+    value is pinned.  Computed once per instance (``Instance.digest``).
+    """
+    return inst.digest

@@ -1,6 +1,7 @@
 """Command-line harness: exit codes, output contracts, composability."""
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -51,6 +52,22 @@ class TestSolve:
         assert out["digest"] == instance_digest(UNIT)
         assert sorted(map(tuple, out["pairs"])) == [(0, 0), (1, 1)]
         assert out["wall_ms"] >= 0
+
+    @pytest.mark.parametrize("algorithm", ["ga", "flow"])
+    def test_pretty_printed_copy_solves_alike(self, algorithm, instance_file, tmp_path, capsys):
+        # The canonical file's digest is read from its bytes; the pretty copy's is encoded.
+        fixture = inst([[4, 1, 3], [2, 0, 5]], [1, 0], [2, 2], [0, 1, 0], [1, 2, 1])
+        canonical = instance_file(fixture)
+        pretty = tmp_path / "pretty.json"
+        pretty.write_text(json.dumps(json.loads(instance_to_json(fixture)), indent=4) + "\n")
+        outs = []
+        for path in (canonical, str(pretty)):
+            assert main(["solve", "--algorithm", algorithm, path]) == EXIT_OK
+            out = json.loads(capsys.readouterr().out)
+            del out["wall_ms"]
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert outs[0]["digest"] == instance_digest(fixture)
 
     def test_diagnostics_carry_the_certificate(self, instance_file, capsys):
         path = instance_file(SOLVABLE)
@@ -108,6 +125,7 @@ class TestSolve:
         dumps = list(tmp_path.glob("bmatch-internal-*.json"))
         assert len(dumps) == 1
         assert json.loads(dumps[0].read_text())["cost"] == [[3], [4]]
+        assert dumps[0].name == f"bmatch-internal-{instance_digest(SOLVABLE)}.json"
 
     def test_unpruned_output_is_an_internal_error(self, instance_file, capsys, monkeypatch, tmp_path):
         # Without the cleanup, pair (1, 0) stays above demand on both of
@@ -235,6 +253,14 @@ class TestGen:
         assert main(["gen", "--s", "3", "--t", "3", "--seed", "2", "--demands-one"]) == EXIT_OK
         generated = instance_from_json(capsys.readouterr().out)
         assert set(generated.a_demand) == {1} and set(generated.b_demand) == {1}
+
+    def test_info_log_names_the_digest_of_the_printed_text(self, capsys, caplog):
+        from bmatch import instance_from_json
+
+        with caplog.at_level(logging.INFO, logger="bmatch.cli"):
+            assert main(["gen", "--s", "3", "--t", "4", "--seed", "8"]) == EXIT_OK
+        digest = instance_digest(instance_from_json(capsys.readouterr().out))
+        assert f"generated 3x4 instance, digest {digest}" in caplog.messages
 
     def test_gen_feeds_solve(self, tmp_path, capsys):
         assert main(["gen", "--s", "3", "--t", "3", "--seed", "5"]) == EXIT_OK

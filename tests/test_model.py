@@ -239,6 +239,72 @@ class TestJson:
         assert instance_digest(fixture) == "74632672f5b1"
 
 
+_CANONICAL = instance_to_json(inst([[5, 7]], [2], [2], [0, 0], [1, 1]))
+
+
+def _swap(text, old, new):
+    assert old in text
+    return text.replace(old, new, 1)
+
+
+# Texts that parse to an instance; "canonical" marks those whose digest is
+# taken from the text as read.
+_DIGEST_CORPUS = [
+    ("canonical", _CANONICAL, True),
+    ("trailing LF", _CANONICAL + "\n", True),
+    ("trailing CRLF", _CANONICAL + "\r\n", True),
+    ("JSON whitespace around", " \t\r\n" + _CANONICAL + "\n\n", True),
+    ("indent 2", json.dumps(json.loads(_CANONICAL), indent=2), False),
+    ("sorted with spaces", json.dumps(json.loads(_CANONICAL), sort_keys=True), False),
+    ("keys out of order", json.dumps(dict(reversed(json.loads(_CANONICAL).items())), separators=(",", ":")), False),
+    ("duplicate key", _swap(_CANONICAL, '"s":1', '"s":0,"s":1'), False),
+    ('"s" as a nested key', _swap(_CANONICAL, "[[5,7]]", '[[5,{"s":7}]]'), False),
+    ("-0", _swap(_CANONICAL, "[[5,7]]", "[[-0,7]]"), False),
+    ("1.0", _swap(_CANONICAL, "[[5,7]]", "[[1.0,7]]"), False),
+    ("1e0", _swap(_CANONICAL, "[[5,7]]", "[[1e0,7]]"), False),
+    ("true", _swap(_CANONICAL, "[[5,7]]", "[[true,7]]"), False),
+    ("escaped key", _swap(_CANONICAL, '"s":', '"\\u0073":'), False),
+    ("a cost beyond int64", _swap(_CANONICAL, "[[5,7]]", "[[9223372036854775808,7]]"), True),
+    ("[[[1]]]", _swap(_CANONICAL, "[[5,7]]", "[[[1]]]"), True),
+    ("[[{}]]", _swap(_CANONICAL, "[[5,7]]", "[[{}]]"), True),
+]
+
+
+class TestDigestAsRead:
+    @pytest.mark.parametrize("text", [text for _, text, _ in _DIGEST_CORPUS], ids=[n for n, _, _ in _DIGEST_CORPUS])
+    def test_digest_agrees_with_the_encoding(self, text):
+        parsed = instance_from_json(text)
+        assert instance_digest(parsed) == hashlib.sha256(instance_to_json(parsed).encode()).hexdigest()[:12]
+
+    def test_canonical_text_is_never_encoded(self, monkeypatch):
+        import bmatch.model
+
+        calls = []
+        encode = bmatch.model.instance_to_json
+        monkeypatch.setattr(bmatch.model, "instance_to_json", lambda i: calls.append(1) or encode(i))
+        for name, text, canonical in _DIGEST_CORPUS:
+            before = len(calls)
+            instance_digest(instance_from_json(text))
+            assert len(calls) - before == (not canonical), name
+
+    def test_pinned_digest_is_read_from_the_text(self):
+        assert instance_digest(instance_from_json(_CANONICAL + "\n")) == "74632672f5b1"
+
+    def test_only_the_sorted_key_order_spells_the_remainder(self):
+        from itertools import permutations
+
+        keys = ("s", "t", "cost", "a_demand", "a_capacity", "b_demand", "b_capacity")
+        spelled = ["".join(order) for order in permutations(keys)]
+        assert spelled.count("a_capacitya_demandb_capacityb_demandcostst") == 1
+
+    def test_clipped_copy_does_not_inherit_the_digest(self):
+        parsed = instance_from_json(instance_to_json(inst([[1, 2]], [1], [5], [0, 0], [1, 1])))
+        clipped = normalize_instance(parsed)
+        assert clipped.a_capacity == (2,)
+        assert instance_digest(clipped) == hashlib.sha256(instance_to_json(clipped).encode()).hexdigest()[:12]
+        assert instance_digest(clipped) != instance_digest(parsed)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_normalize_idempotent_on_random_instances(data):
