@@ -32,7 +32,6 @@ from .model import (
     Assignment,
     Instance,
     _is_int,
-    _pair_cost,
     _sha12,
     instance_digest,
     instance_from_json,
@@ -102,6 +101,8 @@ def _reject_malformed(inst: Instance, path: str) -> None:
 
 
 def _parse_assignment(path: str, inst: Instance) -> Assignment:
+    """Read an assignment file's pairs.  ``total_cost`` is left 0:
+    ``check_assignment`` prices the pairs, once."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -118,7 +119,7 @@ def _parse_assignment(path: str, inst: Instance) -> Assignment:
     for i, j in pairs:
         if not (0 <= i < inst.s and 0 <= j < inst.t):
             raise _ParseError(f"{path}: pair [{i}, {j}] out of range for a {inst.s}x{inst.t} instance")
-    return Assignment(pairs=tuple((i, j) for i, j in pairs), total_cost=_pair_cost(inst, pairs))
+    return Assignment(pairs=tuple((i, j) for i, j in pairs), total_cost=0)
 
 
 def _dump_fixture(inst: Instance, prefix: str) -> str:

@@ -129,11 +129,24 @@ def solve_max_weight_perfect(weights: Matrix, observer: Observer | None = None) 
     check invariants mid-solve and costs a snapshot per call.
 
     Runs in O(n^3) time via incremental slack arrays.
+
+    Labels and slacks are int64.  With R = max W - min W, row labels stay
+    in [min W, max W] (a free column keeps label 0), column labels in
+    [0, R] and slacks in [0, 2R], so the method needs max W + R < 2**63
+    and 2R < 2**62, the mask of tree columns.  A weight outside int64 or
+    a matrix outside that range raises ``ValueError``.  ``weight`` is
+    summed in Python integers, like ``certificate_weight``.
     """
-    W = np.asarray(weights, dtype=np.int64)
+    try:
+        W = np.asarray(weights, dtype=np.int64)
+    except OverflowError as exc:
+        raise ValueError(f"weights must fit in int64: {exc}") from exc
     if W.ndim != 2 or W.shape[0] != W.shape[1] or W.shape[0] == 0:
         raise ValueError(f"weights must be square and non-empty, got shape {W.shape}")
     n = W.shape[0]
+    lo, hi = int(W.min()), int(W.max())
+    if 2 * hi - lo >= 2**63 or 2 * (hi - lo) >= 2**62:
+        raise ValueError(f"weights from {lo} to {hi} can overflow the int64 labels")
 
     la = W.max(axis=1).astype(np.int64)
     lb = np.zeros(n, dtype=np.int64)
@@ -182,6 +195,6 @@ def solve_max_weight_perfect(weights: Matrix, observer: Observer | None = None) 
             slack_arg = np.where(better, i2, slack_arg)
 
     pairs = tuple((i, int(match_a[i])) for i in range(n))
-    weight = int(sum(W[i, j] for i, j in pairs))
+    weight = sum(W[np.arange(n), match_a].tolist())
     dual = DualState(tuple(int(x) for x in la), tuple(int(x) for x in lb))
     return PerfectMatching(pairs=pairs, weight=weight, dual=dual)

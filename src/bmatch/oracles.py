@@ -87,8 +87,11 @@ def brute_force_optimum(inst: Instance) -> Assignment:
     """Exhaustive minimum over every subset of pairs (s*t <= 20).
 
     Ties are broken by lexicographic order of the sorted pair tuple, so
-    the result is deterministic.  Raises ValueError beyond the budget and
-    InfeasibleInstanceError when no subset satisfies the bounds.
+    the result is deterministic.  Subsets are priced exactly: in int64
+    when cells times the largest cost magnitude is below 2**63, so no
+    total can wrap, else in Python integers from the cost rows.  Raises
+    ValueError beyond the budget and InfeasibleInstanceError when no
+    subset satisfies the bounds.
     """
     s, t = inst.s, inst.t
     cells = s * t
@@ -99,7 +102,11 @@ def brute_force_optimum(inst: Instance) -> Assignment:
     n_masks = 1 << cells
     masks = np.arange(n_masks, dtype=np.int64)
     bits = ((masks[:, None] >> np.arange(cells)) & 1).astype(np.int64)  # cell k = (k//t, k%t)
-    total = bits @ inst.costs.reshape(-1)
+    flat = [c for row in inst.cost for c in row]
+    if cells * max(map(abs, flat), default=0) < 2**63:
+        total = bits @ inst.costs.reshape(-1)
+    else:
+        total = bits.astype(object) @ np.array(flat, dtype=object)
     ok = np.ones(n_masks, dtype=bool)
     for i in range(s):
         deg = bits[:, i * t : (i + 1) * t].sum(axis=1)

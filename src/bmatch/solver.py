@@ -56,7 +56,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -83,6 +83,8 @@ INF = 2**62
 # so a relax through the lifted matrix pushes the pairs it may not use to
 # INF or above (see ``_check_exact_domain``).
 LIFT = 3 * 2**61
+# Sign of a search's dual shift by the side of its root (``apply_potentials``).
+_LABEL_SHIFT = {"a": 1, "b": -1}
 
 
 class InternalSolverError(RuntimeError):
@@ -133,6 +135,22 @@ class CapacitatedMatching:
             b_demand=b[0], b_capacity=b[1], b_surplus=b[1] - b[0],
         )
 
+    def unmet(self, root: CopyRef) -> bool:
+        """Whether demand copy ``root``, ``("a", i)`` or ``("b", j)``, still
+        has a unit to place."""
+        side, k = root
+        if side == "a":
+            return self.routed[k] < self.a_demand[k]
+        return self.deg_b[k] - self.parked[k] < self.b_demand[k]
+
+    def flip(self, i: int, j: int, d: int) -> None:
+        """Add (``d = 1``) or drop (``d = -1``) pair (i, j), keeping
+        ``matched``, ``lifted`` and both degrees in step."""
+        self.matched[i, j] = d > 0
+        self.lifted[i, j] += d * LIFT
+        self.deg_a[i] += d
+        self.deg_b[j] += d
+
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(zip(*(x.tolist() for x in np.nonzero(self.matched)), strict=True))
@@ -161,54 +179,38 @@ class AlternatingForest:
     terminal_dist: int
 
 
-class _Search(NamedTuple):
-    """What one ``grow_forest`` search ends with, in its own arrays.
-
-    ``apply_potentials`` reads ``dist`` directly; ``snapshot`` builds the
-    plain-Python ``AlternatingForest``.  The arrays are the search's own
-    and nothing writes them after it returns, so a late snapshot equals
-    one taken at once.
-    """
-
-    root: CopyRef
-    orientation: str
-    dist: np.ndarray
-    parent: np.ndarray
-    settled: np.ndarray
-    terminal: int
-    terminal_dist: int
-
-    def snapshot(self) -> AlternatingForest:
-        return AlternatingForest(
-            root=self.root,
-            orientation=self.orientation,
-            dist=tuple(self.dist.tolist()),
-            parent=tuple(self.parent.tolist()),
-            settled=tuple(self.settled.tolist()),
-            terminal=self.terminal,
-            terminal_dist=self.terminal_dist,
-        )
-
-
 @dataclass(frozen=True)
 class AugmentingPath:
     """Ordered primal operations realizing one cheapest augmentation.
 
-    A path from ``grow_forest`` carries its search record, which
-    ``apply_potentials`` reads; ``forest`` builds the snapshot from it
-    on first read, and reading it late gives the same value as reading
-    it at once.  A hand-built path has no search and no forest.
+    A path from ``grow_forest`` also carries its search's own arrays over
+    node ids (``dist``, ``parent``, ``settled``) and the ``terminal`` node
+    where it finished.  Nothing writes them after the search returns, so
+    ``apply_potentials`` reads ``dist`` directly, and ``forest``, built
+    from them on first read, has the same value read late as read at
+    once.  A hand-built path has no search and no forest.
     """
 
     root: CopyRef
     leaf: CopyRef
     steps: tuple[tuple, ...]  # ("match"|"unmatch", i, j) / ("park"|"release", j) / ("feed"|"unfeed", i)
     finished_at_pool: bool
-    search: _Search | None = field(default=None, repr=False, compare=False)
+    dist: np.ndarray | None = field(default=None, repr=False, compare=False)
+    parent: np.ndarray | None = field(default=None, repr=False, compare=False)
+    settled: np.ndarray | None = field(default=None, repr=False, compare=False)
+    terminal: int = field(default=-1, repr=False, compare=False)
 
     @cached_property
     def forest(self) -> AlternatingForest:
-        return self.search.snapshot()
+        return AlternatingForest(
+            root=self.root,
+            orientation="row" if self.root[0] == "a" else "col",
+            dist=tuple(self.dist.tolist()),
+            parent=tuple(self.parent.tolist()),
+            settled=tuple(self.settled.tolist()),
+            terminal=self.terminal,
+            terminal_dist=int(self.dist[self.terminal]),
+        )
 
 
 @dataclass(frozen=True)
@@ -415,25 +417,21 @@ class SolverState:
         )
         return value
 
-    def apply_potentials(self, search: _Search) -> None:
+    def apply_potentials(self, path: AugmentingPath) -> None:
         """Shift potentials so the augmenting path's arcs become tight.
 
-        ``search`` is the record a path's forest is built from on first
-        read (``path.search``); its distance array is read directly, so
-        no snapshot is built here.
+        Reads the search's ``path.dist`` directly, so no snapshot is
+        built.  The distances, capped at the terminal's, shift the node
+        labels (``p``, ``-q``, ``-mu``) down from a row root and up from a
+        column root, whose search ran on the reversed graph.
         """
-        cap = search.terminal_dist
+        cap = int(path.dist[path.terminal])
         if cap <= 0:
             return
-        shift = np.minimum(search.dist, cap)
-        if search.orientation == "row":
-            self.p -= shift[: self.s]
-            self.q += shift[self.s : self.s + self.t]
-            self.mu += int(shift[self.s + self.t])
-        else:
-            self.p += shift[: self.s]
-            self.q -= shift[self.s : self.s + self.t]
-            self.mu -= int(shift[self.s + self.t])
+        shift = np.minimum(path.dist, cap) * _LABEL_SHIFT[path.root[0]]
+        self.p -= shift[: self.s]
+        self.q += shift[self.s : self.s + self.t]
+        self.mu += int(shift[self.s + self.t])
         self.dual_updates += 1
 
 
@@ -505,9 +503,9 @@ def grow_forest(state: SolverState, root: CopyRef) -> AugmentingPath:
     if root[0] not in ("a", "b"):
         raise ValueError(f"roots must be demand copies, got {root!r}")
     m = state.matching
-    forward, r = root[0] == "a", root[1]
-    if not (m.routed[r] < m.a_demand[r] if forward else m.deg_b[r] - m.parked[r] < m.b_demand[r]):
+    if not m.unmet(root):
         raise ValueError(f"root {root!r} is not a free demand copy")
+    forward = root[0] == "a"
     s, t = state.s, state.t
     pool = s + t
     fed = m.deg_a - m.routed
@@ -656,7 +654,7 @@ def grow_forest(state: SolverState, root: CopyRef) -> AugmentingPath:
         # pool -> root on the reversed graph.
         steps=_steps_from_chain(chain[::-1] if forward else chain, s, t),
         finished_at_pool=forward and v == pool,
-        search=_Search(root, "row" if forward else "col", dist, parent, settled, v, int(dist[v])),
+        dist=dist, parent=parent, settled=settled, terminal=v,
     )
 
 
@@ -695,19 +693,13 @@ def augment(m: CapacitatedMatching, path: AugmentingPath) -> CapacitatedMatching
             _, i, j = op
             if m.matched[i, j]:
                 raise InternalSolverError(f"path matches already-matched pair ({i}, {j})")
-            m.matched[i, j] = True
-            m.lifted[i, j] += LIFT
-            m.deg_a[i] += 1
-            m.deg_b[j] += 1
+            m.flip(i, j, 1)
             raised.append((i, j))
         elif kind == "unmatch":
             _, i, j = op
             if not m.matched[i, j]:
                 raise InternalSolverError(f"path unmatches unmatched pair ({i}, {j})")
-            m.matched[i, j] = False
-            m.lifted[i, j] -= LIFT
-            m.deg_a[i] -= 1
-            m.deg_b[j] -= 1
+            m.flip(i, j, -1)
         elif kind == "park":
             j = op[1]
             m.parked[j] += 1
@@ -871,10 +863,7 @@ def _prune_unneeded_pairs(state: SolverState) -> int:
                     f"optimal matching carries a droppable pair ({i}, {j}) "
                     f"of non-zero cost {int(state.c[i, j])}"
                 )
-            m.matched[i, j] = False
-            m.lifted[i, j] -= LIFT
-            m.deg_a[i] -= 1
-            m.deg_b[j] -= 1
+            m.flip(i, j, -1)
             m.parked[j] -= 1
             removed += 1
     return removed
@@ -905,30 +894,23 @@ def _solve(
     state: SolverState, algorithm: str, observer: Callable[[SolverState], None] | None, t0: float
 ) -> tuple[Assignment, SolveReport]:
     m = state.matching
-    warm = ph1 = ph2 = 0
+    warm = 0
+    placed = {"a": 0, "b": 0}  # units placed from row roots (phase 1) and column roots (phase 2)
     if all(np.all(x == 1) for x in (state.alpha, state.alpha_cap, state.beta, state.beta_cap)):
-        warm = ph1 = _warm_start(state)
+        warm = placed["a"] = _warm_start(state)
     elif not state.alpha.any():
-        warm = ph2 = _column_start(state)
+        warm = placed["b"] = _column_start(state)
     if warm and observer is not None:
         observer(state)
 
-    for i in range(state.s):
-        while m.routed[i] < state.alpha[i]:
-            path = grow_forest(state, ("a", i))
-            if path.finished_at_pool:
-                state.park_budget -= 1
+    # Phase 1 roots at the rows in index order, then phase 2 at the columns.
+    for root in [*(("a", i) for i in range(state.s)), *(("b", j) for j in range(state.t))]:
+        while m.unmet(root):
+            path = grow_forest(state, root)
+            state.park_budget -= path.finished_at_pool
             augment(m, path)
-            state.apply_potentials(path.search)
-            ph1 += 1
-            if observer is not None:
-                observer(state)
-    for j in range(state.t):
-        while m.deg_b[j] - m.parked[j] < state.beta[j]:
-            path = grow_forest(state, ("b", j))
-            augment(m, path)
-            state.apply_potentials(path.search)
-            ph2 += 1
+            state.apply_potentials(path)
+            placed[root[0]] += 1
             if observer is not None:
                 observer(state)
 
@@ -950,8 +932,8 @@ def _solve(
 
     report = SolveReport(
         algorithm=algorithm,
-        phase1_augmentations=ph1,
-        phase2_augmentations=ph2,
+        phase1_augmentations=placed["a"],
+        phase2_augmentations=placed["b"],
         dual_updates=state.dual_updates,
         dual_objective=dual,
         pruned_pairs=pruned,

@@ -230,6 +230,24 @@ def test_each_command_validates_the_instance_once(command, instance_file, tmp_pa
     assert len(calls) == 1
 
 
+def test_verify_prices_the_pairs_once(instance_file, tmp_path, monkeypatch, capsys):
+    (tmp_path / "diagonal.json").write_text('{"pairs": [[0, 0], [1, 1]]}')
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    original = sys.modules["bmatch.model"]._pair_cost
+
+    def counted(instance, pairs):
+        calls.append(pairs)
+        return original(instance, pairs)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "bmatch" or name.startswith("bmatch.")) and "_pair_cost" in vars(module):
+            monkeypatch.setattr(module, "_pair_cost", counted)
+    assert main(["verify", instance_file(UNIT), "--assignment", "diagonal.json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["recomputed_cost"] == 2
+    assert len(calls) == 1
+
+
 class TestGen:
     def test_byte_reproducible(self, capsys):
         assert main(["gen", "--s", "3", "--t", "2", "--seed", "9"]) == EXIT_OK

@@ -2,6 +2,7 @@
 the answer (``Instance.costs``): the screen's verdicts and messages, the
 exact int64 domain, one conversion per solve, and the pricing of pairs."""
 
+import json
 from dataclasses import replace
 from enum import IntEnum
 
@@ -21,7 +22,7 @@ from bmatch import (
     validate_instance,
 )
 from bmatch.cli import EXIT_OK, EXIT_USAGE, main
-from bmatch.oracles import check_assignment
+from bmatch.oracles import brute_force_optimum, check_assignment, solve_flow_reference
 
 
 class _Cost(IntEnum):
@@ -140,6 +141,32 @@ def test_flow_answers_and_verify_price_costs_beyond_int64_exactly(instance_file,
     assert assignment_cost(big, [(0, 0), [1, 1]]) == 2**64 + 2**63
     dup = Assignment(pairs=((0, 0), (0, 0)), total_cost=0)
     assert check_assignment(big, dup).recomputed_cost == 2**65
+
+
+# One row, two columns of capacity 1: a cost beyond int64 beside one that
+# fits (row demand 1), and two costs that fit whose sum does not (row demand 2).
+BEYOND_INT64 = {
+    "cost-2**63": (inst([[2**63, 7]], [1], [2], [0, 0], [1, 1]), 7),
+    "sum-2**63": (inst([[2**62, 2**62]], [2], [2], [0, 0], [1, 1]), 2**63),
+}
+
+
+@pytest.mark.parametrize("fixture, optimum", BEYOND_INT64.values(), ids=BEYOND_INT64)
+def test_brute_and_flow_price_totals_beyond_int64_exactly(fixture, optimum):
+    brute, flow = brute_force_optimum(fixture), solve_flow_reference(fixture)
+    assert brute == flow
+    assert brute.total_cost == sum(fixture.cost[i][j] for i, j in brute.pairs) == optimum
+
+
+@pytest.mark.parametrize("algorithm", ["brute", "flow"])
+@pytest.mark.parametrize("fixture, optimum", BEYOND_INT64.values(), ids=BEYOND_INT64)
+def test_brute_and_flow_solve_totals_beyond_int64_from_the_console(
+    fixture, optimum, algorithm, instance_file, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", "--algorithm", algorithm, instance_file(fixture)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["total_cost"] == optimum
+    assert not list(tmp_path.glob("bmatch-internal-*.json"))
 
 
 def test_the_array_is_read_only_and_the_solve_shares_it():

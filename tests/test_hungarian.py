@@ -128,6 +128,41 @@ def test_solve_rejects_non_square():
         solve_max_weight_perfect([[1, 2, 3], [4, 5, 6]])
 
 
+def test_solve_weight_is_exact_beyond_int64():
+    pm = solve_max_weight_perfect([[2**62] * 3] * 3)
+    assert type(pm.weight) is int
+    assert pm.weight == pm.certificate_weight == 3 * 2**62
+
+
+@pytest.mark.parametrize(
+    "weights, match",
+    [
+        ([[2**63]], "fit in int64"),  # not an int64
+        ([[-(2**63) - 1]], "fit in int64"),
+        ([[2**62, 0], [0, 0]], "overflow the int64 labels"),  # slack 2**62 would tie the tree mask
+        ([[2**63 - 1, 2**63 - 1 - 2**60]] * 2, "overflow the int64 labels"),  # max W + spread reaches 2**63
+    ],
+)
+def test_solve_rejects_weights_its_int64_labels_cannot_hold(weights, match):
+    with pytest.raises(ValueError, match=match):
+        solve_max_weight_perfect(weights)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        [[2**61 - 1, 0], [0, 0]],  # the widest spread accepted
+        [[0, 2**61 - 1, 5], [2**61 - 1, 0, 2**60], [3, 2**60, 2**61 - 1]],
+        [[2**62 + 2**61 - 1, 2**62], [2**62 + 1, 2**62 + 2**61 - 1]],  # max W + spread = 2**63 - 2
+        [[-(2**63), -(2**63) + 5], [-(2**63) + 2, -(2**63)]],
+    ],
+)
+def test_solve_is_exact_at_the_edge_of_its_domain(weights):
+    pm = solve_max_weight_perfect(weights)
+    assert pm.weight == pm.certificate_weight == brute_max_weight(weights)
+    assert pm.dual.is_feasible(weights)
+
+
 def test_solve_is_deterministic():
     w = [[3, 3, 1], [3, 3, 3], [1, 3, 3]]
     assert solve_max_weight_perfect(w).pairs == solve_max_weight_perfect(w).pairs

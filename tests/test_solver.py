@@ -1034,7 +1034,7 @@ def _searched(fixture, roots):
         path = grow_forest(state, root)
         state.park_budget -= path.finished_at_pool
         augment(state.matching, path)
-        state.apply_potentials(path.search)
+        state.apply_potentials(path)
     return path
 
 
