@@ -20,6 +20,7 @@ the solver (``model.normalize_instance``); ``verify`` and ``solve`` with
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -83,14 +84,9 @@ def parse_instance(path: str) -> Instance:
     types and bounds are left to the one screen that follows."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
+            return instance_from_json(fh.read())
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 and bad JSON too
         raise _ParseError(f"{path}: {exc}") from exc
-    try:
-        inst = instance_from_json(text)
-    except ValueError as exc:
-        raise _ParseError(f"{path}: {exc}") from exc
-    return inst
 
 
 def _reject_malformed(inst: Instance, path: str) -> None:
@@ -106,7 +102,7 @@ def _parse_assignment(path: str, inst: Instance) -> Assignment:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise _ParseError(f"{path}: {exc}") from exc
     if not isinstance(data, dict) or "pairs" not in data:
         raise _ParseError(f"{path}: expected an object with a \"pairs\" key")
@@ -122,8 +118,8 @@ def _parse_assignment(path: str, inst: Instance) -> Assignment:
     return Assignment(pairs=tuple((i, j) for i, j in pairs), total_cost=0)
 
 
-def _dump_fixture(inst: Instance, prefix: str) -> str:
-    text = instance_to_json(inst)
+def _dump_fixture(text: str, prefix: str) -> str:
+    """Write an instance's canonical text to a file named by its digest."""
     name = f"{prefix}-{_sha12(text.encode())}.json"
     with open(name, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
@@ -154,14 +150,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         if args.algorithm in ("ga", "lca"):
             solver = solve_ga if args.algorithm == "ga" else solve_lca
             assignment, report = solver(inst)
-            diagnostics = {
-                "phase1_augmentations": report.phase1_augmentations,
-                "phase2_augmentations": report.phase2_augmentations,
-                "dual_updates": report.dual_updates,
-                "dual_objective": report.dual_objective,
-                "pruned_pairs": report.pruned_pairs,
-                "warm_start_pairs": report.warm_start_pairs,
-            }
+            diagnostics = dataclasses.asdict(report)
+            del diagnostics["algorithm"], diagnostics["wall_time_ms"]
         elif args.algorithm == "flow":
             assignment = solve_flow_reference(inst)
         else:
@@ -172,14 +162,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise _ParseError(f"{args.instance}: {exc}") from exc
     except Exception as exc:
-        name = _dump_fixture(inst, "bmatch-internal")
+        name = _dump_fixture(instance_to_json(inst), "bmatch-internal")
         print(f"internal error: {type(exc).__name__}: {exc} (fixture: {name})", file=sys.stderr)
         return EXIT_INTERNAL
     wall_ms = (time.perf_counter() - t0) * 1000.0
 
     verdict = check_assignment(inst, assignment)
     if not verdict.feasible or verdict.recomputed_cost != assignment.total_cost:
-        name = _dump_fixture(inst, "bmatch-internal")
+        name = _dump_fixture(instance_to_json(inst), "bmatch-internal")
         print(
             f"internal error: solver output failed verification (fixture: {name})",
             file=sys.stderr,
@@ -263,8 +253,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         log.debug("trial %d digest %s agree=%s", record.trial, record.digest, record.agree)
     bad = report.disagreements
     for record in bad:
-        inst = instance_from_json(record.fixture)
-        name = _dump_fixture(inst, "bmatch-diff-fixture")
+        name = _dump_fixture(record.fixture, "bmatch-diff-fixture")
         print(f"disagreement on trial {record.trial}: fixture {name}", file=sys.stderr)
     log.info("%d trials, %d disagreements", len(report.records), len(bad))
     return EXIT_INFEASIBLE if bad else EXIT_OK

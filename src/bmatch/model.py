@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
@@ -82,14 +83,17 @@ class Instance:
         b_demand: Sequence[int],
         b_capacity: Sequence[int],
     ) -> "Instance":
+        """Build an instance from integer sequences.  Python, numpy and
+        ``IntEnum`` integers pass; a float, string or bool raises
+        ``TypeError`` naming its field and index."""
         return cls(
             s=len(cost),
-            t=len(cost[0]) if cost else 0,
-            cost=tuple(tuple(int(c) for c in row) for row in cost),
-            a_demand=tuple(int(x) for x in a_demand),
-            a_capacity=tuple(int(x) for x in a_capacity),
-            b_demand=tuple(int(x) for x in b_demand),
-            b_capacity=tuple(int(x) for x in b_capacity),
+            t=len(cost[0]) if len(cost) else 0,
+            cost=tuple(_ints(row, f"cost[{i}]") for i, row in enumerate(cost)),
+            a_demand=_ints(a_demand, "a_demand"),
+            a_capacity=_ints(a_capacity, "a_capacity"),
+            b_demand=_ints(b_demand, "b_demand"),
+            b_capacity=_ints(b_capacity, "b_capacity"),
         )
 
     @cached_property
@@ -133,6 +137,19 @@ class ValidationReport:
 
 def _is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _ints(seq: Sequence[int], name: str) -> tuple[int, ...]:
+    """``seq``'s entries converted by ``operator.index``; bools refused."""
+    out = []
+    for k, x in enumerate(seq):
+        try:
+            if isinstance(x, bool):
+                raise TypeError
+            out.append(operator.index(x))
+        except TypeError:
+            raise TypeError(f"{name}[{k}] = {x!r} is not an integer") from None
+    return tuple(out)
 
 
 def _screen(seq: Any, n: int, name: str, out: list[str], label: str = "") -> bool:

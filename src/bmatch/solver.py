@@ -151,6 +151,10 @@ class CapacitatedMatching:
         self.deg_a[i] += d
         self.deg_b[j] += d
 
+    def droppable(self) -> np.ndarray:
+        """Mask of the matched pairs above demand on both sides."""
+        return self.matched & (self.deg_a > self.a_demand)[:, None] & (self.deg_b > self.b_demand)[None, :]
+
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(zip(*(x.tolist() for x in np.nonzero(self.matched)), strict=True))
@@ -333,8 +337,8 @@ class SolverState:
     Construction runs the solve's one screen, ``normalize_instance``, then
     rejects costs outside the exact int64 domain with ``ValueError``.
     ``inst`` is the normalized instance (capacities clipped to the
-    opposite side size).  ``c``, ``alpha``, ``alpha_cap``, ``beta`` and
-    ``beta_cap`` name the matching's arrays; ``labels`` reads ``offset``.
+    opposite side size).  ``matching`` holds the cost and bound arrays;
+    ``labels`` reads ``offset``.
 
     ``cand`` and ``unsettled`` are the search's scratch arrays over node
     ids: all INF and all True between searches, which reset them.
@@ -350,14 +354,12 @@ class SolverState:
         self.s, self.t = s, t = inst.s, inst.t
         self.offset = c_max + 1
         self.matching = m = CapacitatedMatching.empty(inst)
-        self.c, self.alpha, self.alpha_cap = m.cost, m.a_demand, m.a_capacity
-        self.beta, self.beta_cap = m.b_demand, m.b_capacity
         # Feasible initial duals: reduced costs start >= 0 everywhere.
-        self.p = self.c.min(axis=1).astype(np.int64)
+        self.p = m.cost.min(axis=1).astype(np.int64)
         self.q = np.zeros(inst.t, dtype=np.int64)
         self.mu = 0
         # How many demand units may still end in spare column capacity.
-        self.park_budget = max(0, int(self.alpha.sum() - self.beta.sum()))
+        self.park_budget = max(0, int(m.a_demand.sum() - m.b_demand.sum()))
         self.dual_updates = 0
         self.cand = np.full(s + t + 1, INF, dtype=np.int64)
         self.unsettled = np.ones(s + t + 1, dtype=bool)
@@ -383,8 +385,8 @@ class SolverState:
 
     def check_dual_invariants(self) -> None:
         """Raise if any residual arc has negative reduced cost."""
-        rc = self.c - self.p[:, None] - self.q[None, :]
         m = self.matching
+        rc = m.cost - self.p[:, None] - self.q[None, :]
         if np.any(rc[~m.matched] < 0):
             raise InternalSolverError("unmatched pair with negative reduced cost")
         if np.any(rc[m.matched] > 0):
@@ -405,14 +407,15 @@ class SolverState:
         By weak duality it lower-bounds every feasible assignment's cost;
         at termination it equals the matched cost, certifying optimality.
         """
+        m = self.matching
         r = self.mu + self.p
         s_ = self.q - self.mu
-        w = np.maximum(0, r[:, None] + s_[None, :] - self.c)
+        w = np.maximum(0, r[:, None] + s_[None, :] - m.cost)
         value = (
-            int((self.alpha * np.maximum(r, 0)).sum())
-            - int((self.alpha_cap * np.maximum(-r, 0)).sum())
-            + int((self.beta * np.maximum(s_, 0)).sum())
-            - int((self.beta_cap * np.maximum(-s_, 0)).sum())
+            int((m.a_demand * np.maximum(r, 0)).sum())
+            - int((m.a_capacity * np.maximum(-r, 0)).sum())
+            + int((m.b_demand * np.maximum(s_, 0)).sum())
+            - int((m.b_capacity * np.maximum(-s_, 0)).sum())
             - int(w.sum())
         )
         return value
@@ -435,26 +438,22 @@ class SolverState:
         self.dual_updates += 1
 
 
-def _reconstruct(parent: np.ndarray, start: int) -> list[int]:
-    """Follow parent pointers from ``start`` until a node without one."""
-    chain = [start]
-    while parent[chain[-1]] >= 0:
-        if len(chain) == len(parent):
-            raise InternalSolverError("parent pointers form a cycle")
-        chain.append(int(parent[chain[-1]]))
-    return chain
+def _walk(parent: np.ndarray, terminal: int, s: int, t: int, forward: bool) -> tuple[tuple, ...]:
+    """Primal operations of the path that ``parent`` leads back from
+    ``terminal`` to the root, in one walk of the pointers.
 
-
-def _steps_from_chain(chain: list[int], s: int, t: int) -> tuple[tuple, ...]:
-    """Turn a node-id chain into primal operations.
-
-    Row-rooted chains run root->leaf and column-rooted ones leaf->root,
-    but both list nodes in arc direction, so consecutive (u, v) is
-    always one residual arc u->v.
+    Each pointer is one residual arc u->v: from the parent on a row
+    root's search, into it on a column root's, which ran on the reversed
+    graph.  The steps come out in arc direction: root -> leaf forward,
+    pool -> root backward.
     """
     pool = s + t
     steps: list[tuple] = []
-    for u, v in zip(chain, chain[1:], strict=False):
+    w = terminal
+    while (p := int(parent[w])) >= 0:
+        if len(steps) == len(parent) - 1:
+            raise InternalSolverError("parent pointers form a cycle")
+        u, v = (p, w) if forward else (w, p)
         if u < s and s <= v < pool:
             steps.append(("match", u, v - s))
         elif s <= u < pool and v < s:
@@ -469,7 +468,8 @@ def _steps_from_chain(chain: list[int], s: int, t: int) -> tuple[tuple, ...]:
             steps.append(("unfeed", u))
         else:
             raise InternalSolverError(f"impossible arc {u}->{v} in augmenting path")
-    return tuple(steps)
+        w = p
+    return tuple(steps[::-1] if forward else steps)
 
 
 def grow_forest(state: SolverState, root: CopyRef) -> AugmentingPath:
@@ -646,13 +646,10 @@ def grow_forest(state: SolverState, root: CopyRef) -> AugmentingPath:
     else:
         leaf = (other, v - y0)
 
-    chain = _reconstruct(parent, v)  # terminal -> root
     return AugmentingPath(
         root=root,
         leaf=leaf,
-        # Both chains list nodes in arc direction: root -> leaf forward,
-        # pool -> root on the reversed graph.
-        steps=_steps_from_chain(chain[::-1] if forward else chain, s, t),
+        steps=_walk(parent, v, s, t, forward),
         finished_at_pool=forward and v == pool,
         dist=dist, parent=parent, settled=settled, terminal=v,
     )
@@ -743,7 +740,7 @@ def _warm_start(state: SolverState) -> int:
     feasible with tight matched pairs, as ``check_dual_invariants``
     confirms.  Returns the number of pairs matched.
     """
-    c, n = state.c, state.s
+    c, n = state.matching.cost, state.s
     q, argmin = c.min(axis=0), c.argmin(axis=0)
     col_of = np.full(n, -1, dtype=np.int64)  # row -> column, -1 when free
     np.maximum.at(col_of, argmin, np.arange(n))
@@ -790,9 +787,9 @@ def _column_start(state: SolverState) -> int:
 
     Column reduction (the first step of ``_warm_start``) on b-matching
     bounds; such an instance has no phase 1 and no park budget.  Each
-    column j takes its ``beta[j]`` cheapest rows, ties to the lowest row,
-    and ``q[j]`` is the ``beta[j]``-th smallest cost of column j (0 when
-    ``beta[j]`` is 0), so every pair a column took has ``c - q <= 0`` and
+    column j takes its ``b_demand[j]`` cheapest rows, ties to the lowest
+    row, and ``q[j]`` is the ``b_demand[j]``-th smallest cost of column j
+    (0 when ``b_demand[j]`` is 0), so every pair a column took has ``c - q <= 0`` and
     every other pair ``c - q >= 0``; ``p`` and ``mu`` start at 0.  A row
     over its capacity keeps the ``a_capacity[i]`` pairs with the smallest
     ``c - q``, ties to the lowest column, and sets ``p[i]`` to the largest
@@ -803,13 +800,14 @@ def _column_start(state: SolverState) -> int:
     then searches only from the columns this left short.  Returns the
     number of pairs placed.
     """
-    c, s, t, beta, cap = state.c, state.s, state.t, state.beta, state.alpha_cap
+    m, s, t = state.matching, state.s, state.t
+    c, demand, cap = m.cost, m.b_demand, m.a_capacity
     # Ranking by c*s + i (distinct keys, in int64 by the exact domain)
     # breaks cost ties toward the lowest row; c - q ranks by (c - q)*t + j.
     key = c * s + np.arange(s)[:, None]
-    last = np.sort(key, axis=0)[np.maximum(beta - 1, 0), np.arange(t)]
-    pick = (key <= last) & (beta > 0)
-    q = np.where(beta > 0, last // s, 0)
+    last = np.sort(key, axis=0)[np.maximum(demand - 1, 0), np.arange(t)]
+    pick = (key <= last) & (demand > 0)
+    q = np.where(demand > 0, last // s, 0)
     h = c - q
     p = np.zeros(s, dtype=np.int64)
     over = np.flatnonzero(pick.sum(axis=1) > cap)
@@ -835,7 +833,7 @@ def _set_start(state: SolverState, pick: np.ndarray, p: np.ndarray, q: np.ndarra
     m.lifted[pick] += LIFT
     m.deg_a += pick.sum(axis=1)
     m.deg_b += pick.sum(axis=0)
-    np.minimum(m.deg_a, state.alpha, out=m.routed)
+    np.minimum(m.deg_a, m.a_demand, out=m.routed)
     state.p[:] = p
     state.q[:] = q
     state.check_dual_invariants()
@@ -855,13 +853,12 @@ def _prune_unneeded_pairs(state: SolverState) -> int:
     """
     m = state.matching
     removed = 0
-    droppable = m.matched & (m.deg_a > state.alpha)[:, None] & (m.deg_b > state.beta)[None, :]
-    for i, j in zip(*(x.tolist() for x in np.nonzero(droppable)), strict=True):
-        if m.deg_a[i] > state.alpha[i] and m.deg_b[j] > state.beta[j]:
-            if state.c[i, j] != 0:
+    for i, j in zip(*(x.tolist() for x in np.nonzero(m.droppable())), strict=True):
+        if m.deg_a[i] > m.a_demand[i] and m.deg_b[j] > m.b_demand[j]:
+            if m.cost[i, j] != 0:
                 raise InternalSolverError(
                     f"optimal matching carries a droppable pair ({i}, {j}) "
-                    f"of non-zero cost {int(state.c[i, j])}"
+                    f"of non-zero cost {int(m.cost[i, j])}"
                 )
             m.flip(i, j, -1)
             m.parked[j] -= 1
@@ -880,11 +877,11 @@ def _check_output(state: SolverState) -> None:
     if np.any(m.matched.sum(axis=1) != m.deg_a) or np.any(m.matched.sum(axis=0) != m.deg_b):
         raise InternalSolverError("degree counters disagree with the matched pairs")
     if (
-        np.any(m.deg_a < state.alpha) or np.any(m.deg_a > state.alpha_cap)
-        or np.any(m.deg_b < state.beta) or np.any(m.deg_b > state.beta_cap)
+        np.any(m.deg_a < m.a_demand) or np.any(m.deg_a > m.a_capacity)
+        or np.any(m.deg_b < m.b_demand) or np.any(m.deg_b > m.b_capacity)
     ):
         raise InternalSolverError("a vertex degree is outside its bounds")
-    both = m.matched & (m.deg_a > state.alpha)[:, None] & (m.deg_b > state.beta)[None, :]
+    both = m.droppable()
     if both.any():
         i, j = np.argwhere(both)[0]
         raise InternalSolverError(f"pair ({i}, {j}) is above demand on both sides")
@@ -896,9 +893,9 @@ def _solve(
     m = state.matching
     warm = 0
     placed = {"a": 0, "b": 0}  # units placed from row roots (phase 1) and column roots (phase 2)
-    if all(np.all(x == 1) for x in (state.alpha, state.alpha_cap, state.beta, state.beta_cap)):
+    if all(np.all(x == 1) for x in (m.a_demand, m.a_capacity, m.b_demand, m.b_capacity)):
         warm = placed["a"] = _warm_start(state)
-    elif not state.alpha.any():
+    elif not m.a_demand.any():
         warm = placed["b"] = _column_start(state)
     if warm and observer is not None:
         observer(state)
@@ -914,7 +911,7 @@ def _solve(
             if observer is not None:
                 observer(state)
 
-    if np.any(m.routed != state.alpha) or np.any(m.deg_b - m.parked != state.beta):
+    if np.any(m.routed != m.a_demand) or np.any(m.deg_b - m.parked != m.b_demand):
         raise InternalSolverError("phases ended with unmet demand")
 
     cost = int(m.cost[m.matched].sum())
@@ -972,6 +969,7 @@ def solve_lca(
     ``observer`` receives the live state, as in ``solve_ga``."""
     t0 = time.perf_counter()
     state = SolverState(inst)
-    if np.any(state.alpha != 1) or np.any(state.beta != 1):
+    m = state.matching
+    if np.any(m.a_demand != 1) or np.any(m.b_demand != 1):
         raise ValueError("this algorithm requires every demand to be exactly 1")
     return _solve(state, "lca", observer, t0)

@@ -1,5 +1,6 @@
 """Command-line harness: exit codes, output contracts, composability."""
 
+import dataclasses
 import json
 import logging
 import os
@@ -8,7 +9,7 @@ import sys
 
 import pytest
 
-from bmatch import Instance, InternalSolverError, instance_digest, instance_to_json, solve_ga
+from bmatch import Instance, InternalSolverError, oracles, instance_digest, instance_to_json, solve_ga
 from bmatch.cli import EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 
 
@@ -289,6 +290,24 @@ class TestGen:
 
 
 class TestDiff:
+    def test_disagreement_exits_2_and_dumps_the_fixture(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.chdir(tmp_path)
+        reference = oracles.solve_flow_reference
+
+        def off_by_one(instance):
+            answer = reference(instance)
+            return dataclasses.replace(answer, total_cost=answer.total_cost + 1)
+
+        monkeypatch.setattr(oracles, "solve_flow_reference", off_by_one)
+        assert main(["diff", "--trials", "1", "--seed", "7"]) == EXIT_INFEASIBLE
+        out, err = capsys.readouterr()
+        record = json.loads(out)
+        assert record["agree"] is False
+        name = f"bmatch-diff-fixture-{record['digest']}.json"
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+        assert (tmp_path / name).read_text() == record["fixture"] + "\n"
+        assert err == f"disagreement on trial 0: fixture {name}\n"
+
     def test_agreeing_run_exits_0(self, capsys):
         assert main(["diff", "--trials", "20", "--seed", "7"]) == EXIT_OK
         lines = capsys.readouterr().out.strip().splitlines()
@@ -330,6 +349,18 @@ class TestBench:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_non_utf8_file_exits_1_without_a_traceback(self, command, instance_file, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        argv = ["solve", str(bad)] if command == "solve" else ["verify", instance_file(SOLVABLE), "--assignment", str(bad)]
+        proc = run_cli(*argv)
+        assert proc.returncode == EXIT_USAGE
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+        ]
+
     def test_missing_file(self, capsys):
         assert main(["solve", "/no/such/file.json"]) == EXIT_USAGE
         assert "file.json" in capsys.readouterr().err

@@ -105,7 +105,7 @@ def test_intenum_costs_pass_and_solve_like_plain_ints():
     (asg, rep), (plain, _) = solve_ga(enum_costs), solve_ga(unit([[3, 1], [1, 3]]))
     assert asg == plain and rep.dual_objective == asg.total_cost == 2
     state = SolverState(enum_costs)
-    assert state.c.dtype == np.int64 and not state.c.flags.writeable
+    assert state.matching.cost.dtype == np.int64 and not state.matching.cost.flags.writeable
 
 
 @pytest.mark.parametrize("big", [2**63, 2**64])
@@ -178,7 +178,7 @@ def test_the_array_is_read_only_and_the_solve_shares_it():
         costs[0, 0] = 7
     state = SolverState(fixture)
     assert state.inst.a_capacity == (3, 3)  # the clipped copy ...
-    assert state.c is costs and np.shares_memory(state.matching.cost, costs)  # ... shares the array
+    assert state.matching.cost is costs and np.shares_memory(state.matching.cost, costs)  # ... shares the array
     assert not np.shares_memory(state.matching.lifted, costs)
 
 

@@ -4,6 +4,7 @@ import random
 from dataclasses import replace
 from enum import IntEnum
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +30,36 @@ class _Level(IntEnum):
 
 def inst(c, ad, ac, bd, bc):
     return Instance.from_lists(cost=c, a_demand=ad, a_capacity=ac, b_demand=bd, b_capacity=bc)
+
+
+class TestFromLists:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("cost", [[1.9, 2.5]], "cost[0][0] = 1.9 is not an integer"),
+            ("cost", [[1, "3"]], "cost[0][1] = '3' is not an integer"),
+            ("cost", [[1, True]], "cost[0][1] = True is not an integer"),
+            ("a_demand", [True], "a_demand[0] = True is not an integer"),
+            ("b_capacity", [1, np.float64(2)], "b_capacity[1] = np.float64(2.0) is not an integer"),
+        ],
+        ids=["float", "string", "bool-cost", "bool-demand", "numpy-float"],
+    )
+    def test_refuses_non_integer_entries(self, field, value, message):
+        lists = dict(cost=[[1, 2]], a_demand=[1], a_capacity=[1], b_demand=[0, 0], b_capacity=[1, 1])
+        lists[field] = value
+        with pytest.raises(TypeError) as err:
+            Instance.from_lists(**lists)
+        assert str(err.value) == message
+
+    def test_converts_numpy_and_intenum_integers(self):
+        fixture = Instance.from_lists(
+            cost=np.array([[4, 1], [2, 3]]), a_demand=np.ones(2, dtype=np.int32),
+            a_capacity=[_Level.TWO, 1], b_demand=[1, 1], b_capacity=[1, 1],
+        )
+        assert fixture.cost == ((4, 1), (2, 3)) and fixture.a_capacity == (2, 1)
+        fields = (*fixture.cost, fixture.a_demand, fixture.a_capacity)
+        assert {type(x) for row in fields for x in row} == {int}
+        assert solve_ga(fixture)[0].total_cost == 3
 
 
 class TestValidate:
@@ -218,6 +249,21 @@ class TestJson:
         doc = json.loads(instance_to_json(inst([[5]], [1], [1], [1], [1])))
         doc["comment"] = "hi"
         with pytest.raises(ValueError, match="unknown instance keys: comment"):
+            instance_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("s", "1", "s and t must be integers"),
+            ("t", True, "s and t must be integers"),
+            ("cost", [[5], 7], "cost must be a list of lists"),
+            ("b_demand", 1, "b_demand must be a list"),
+        ],
+    )
+    def test_wrong_types_are_named(self, key, value, message):
+        doc = json.loads(instance_to_json(inst([[5]], [1], [1], [1], [1])))
+        doc[key] = value
+        with pytest.raises(ValueError, match=f"^{message}$"):
             instance_from_json(json.dumps(doc))
 
     def test_non_object_rejected(self):

@@ -299,6 +299,69 @@ def test_output_check_catches_broken_counters():
         solver_module._check_output(demanding)
 
 
+def _free_state():
+    # Every demand 0 and every surplus 2: p = (1, 2), q = 0, mu = 0, and
+    # every arc family of check_dual_invariants has members to test.
+    return SolverState(inst([[1, 3], [2, 2]], [0, 0], [2, 2], [0, 0], [2, 2]))
+
+
+def _set(st, name, k, value):
+    getattr(st, name)[k] = value
+
+
+DUAL_FAULTS = {
+    "unmatched pair with negative reduced cost": lambda st: _set(st, "p", 0, 2),
+    "matched pair with positive reduced cost": lambda st: st.matching.flip(0, 1, 1),
+    "pool->row arc with negative reduced cost": lambda st: _set(st, "p", 0, -1),
+    "row->pool arc with negative reduced cost": lambda st: st.matching.flip(0, 0, 1),
+    "column->pool arc with negative reduced cost": lambda st: setattr(st, "mu", 1),
+    "pool->column arc with negative reduced cost": lambda st: (
+        _set(st.matching, "parked", 0, 1), setattr(st, "mu", -1)
+    ),
+}
+
+
+@pytest.mark.parametrize("message", DUAL_FAULTS)
+def test_dual_check_names_each_broken_arc_family(message):
+    st = _free_state()
+    st.check_dual_invariants()
+    DUAL_FAULTS[message](st)
+    with pytest.raises(InternalSolverError, match=f"^{message}$"):
+        st.check_dual_invariants()
+
+
+def test_prune_refuses_a_droppable_pair_of_non_zero_cost():
+    st = _free_state()
+    st.matching.flip(0, 1, 1)  # above its row's and its column's demand of 0
+    with pytest.raises(InternalSolverError) as err:
+        solver_module._prune_unneeded_pairs(st)
+    assert str(err.value) == "optimal matching carries a droppable pair (0, 1) of non-zero cost 3"
+
+
+END_FAULTS = {
+    "phases ended with unmet demand": (solver_module.CapacitatedMatching, "unmet", lambda m, root: False),
+    "dual objective 0 does not certify the matched cost 1": (
+        solver_module.SolverState, "dual_objective", lambda st: 0
+    ),
+    "pruning changed the total cost": (solver_module, "assignment_cost", lambda fixture, ij: 2),
+}
+
+
+@pytest.mark.parametrize("message", END_FAULTS)
+def test_end_of_solve_checks_raise(message, monkeypatch):
+    fixture = inst([[1, 3]], [1], [2], [0, 0], [1, 1])  # no warm start; optimum 1
+    assert solve_ga(fixture)[0].total_cost == 1
+    monkeypatch.setattr(*END_FAULTS[message])
+    with pytest.raises(InternalSolverError, match=f"^{message}$"):
+        solve_ga(fixture)
+
+
+def test_walk_refuses_an_impossible_arc():
+    # Rows 0 and 1 of a 2x1 instance: no residual arc joins two rows.
+    with pytest.raises(InternalSolverError, match=r"^impossible arc 1->0 in augmenting path$"):
+        solver_module._walk(np.array([1, -1, -1, -1]), 0, 2, 1, True)
+
+
 def test_solves_build_no_expanded_graph(monkeypatch, rng):
     # The copy view is a referee: a solve reads its bounds from the
     # matching's arrays, and SolverState.graph builds the view on read.
@@ -405,7 +468,7 @@ def test_search_with_a_settled_node_back_in_cand_raises():
         with pytest.raises(InternalSolverError, match=f"settled more than its {nodes} nodes"):
             solver_module._solve(state, "ga", None, 0.0)
     with pytest.raises(InternalSolverError, match="cycle"):
-        solver_module._reconstruct(np.array([1, 2, 0]), 0)
+        solver_module._walk(np.array([1, 2, 0]), 0, 1, 1, True)
 
 
 def test_lifted_matrix_follows_every_pair_flip(rng):
@@ -610,8 +673,8 @@ class TestRuntimeInvariants:
             nonlocal checked
             state.check_dual_invariants()
             m = state.matching
-            assert np.all(m.routed <= state.alpha)
-            assert np.all(m.parked <= state.beta_cap - state.beta)
+            assert np.all(m.routed <= m.a_demand)
+            assert np.all(m.parked <= m.b_capacity - m.b_demand)
             assert np.all(m.deg_a >= m.routed)
             assert np.all(m.parked <= m.deg_b)
             checked += 1
