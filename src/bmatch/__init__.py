@@ -9,11 +9,9 @@ validate them.
 
 from .expansion import (
     CopyRef,
-    DuplicatePairError,
     ExpandedGraph,
     WeightTransform,
     build_expanded_graph,
-    project_matching,
     transform_costs,
 )
 from .hungarian import (
@@ -73,10 +71,8 @@ __all__ = [
     "CopyRef",
     "WeightTransform",
     "ExpandedGraph",
-    "DuplicatePairError",
     "transform_costs",
     "build_expanded_graph",
-    "project_matching",
     "CapacitatedMatching",
     "SolverState",
     "AlternatingForest",

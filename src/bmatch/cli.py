@@ -85,7 +85,7 @@ def parse_instance(path: str) -> Instance:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return instance_from_json(fh.read())
-    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 and bad JSON too
+    except (OSError, ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deeply nested JSON
         raise _ParseError(f"{path}: {exc}") from exc
 
 
@@ -102,7 +102,7 @@ def _parse_assignment(path: str, inst: Instance) -> Assignment:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise _ParseError(f"{path}: {exc}") from exc
     if not isinstance(data, dict) or "pairs" not in data:
         raise _ParseError(f"{path}: expected an object with a \"pairs\" key")

@@ -253,30 +253,41 @@ def normalize_instance(inst: Instance) -> Instance:
     return out
 
 
-def assignment_cost(inst: Instance, pairs: Iterable[tuple[int, int]] | np.ndarray) -> int:
-    """Total cost of a pair set or (n, 2) index array.  Rejects out-of-range and
-    duplicate pairs; they are walked one by one only to name the first bad one."""
-    ps = pairs if isinstance(pairs, np.ndarray) else list(pairs)
-    s, t = inst.s, inst.t
+def _pair_indices(p: Any) -> tuple[int, int]:
+    """``p``'s two indices by ``operator.index``; anything else, a bool
+    included, is a ValueError that names the pair."""
     try:
-        ij = np.array(ps).reshape(len(ps), 2)
-        ok = ij.dtype.kind == "i" and ((0 <= ij) & (ij < (s, t))).all()
-        ok = ok and np.diff(np.sort(ij[:, 0] * t + ij[:, 1])).all()  # no pair twice
-    except (TypeError, ValueError):
-        ok = False
-    seen: set[tuple[int, int]] = set()
-    for p in () if ok else ps:
         i, j = p
+        if isinstance(i, bool) or isinstance(j, bool):
+            raise TypeError
+        return operator.index(i), operator.index(j)
+    except (TypeError, ValueError):
+        raise ValueError(f"pair {p!r} is not two integer indices") from None
+
+
+def assignment_cost(inst: Instance, pairs: Iterable[tuple[int, int]] | np.ndarray) -> int:
+    """Total cost of a pair set or (n, 2) index array.  Rejects pairs that are
+    not two integer indices, out-of-range and duplicate pairs.  An integer
+    array is checked in C; anything else is walked one by one, which also
+    names the first bad pair as given."""
+    s, t = inst.s, inst.t
+    if isinstance(pairs, np.ndarray) and pairs.dtype.kind == "i" and pairs.shape[1:] == (2,):
+        in_range = ((0 <= pairs) & (pairs < (s, t))).all()
+        if in_range and np.diff(np.sort(pairs[:, 0] * t + pairs[:, 1])).all():  # no pair twice
+            return _pair_cost(inst, pairs)
+    seen: set[tuple[int, int]] = set()
+    for p in pairs:
+        i, j = _pair_indices(p)
         if not (0 <= i < s and 0 <= j < t):
             raise ValueError(f"pair {p!r} out of range for {s}x{t} instance")
         if (i, j) in seen:
             raise ValueError(f"duplicate pair {p!r}")
         seen.add((i, j))
-    return _pair_cost(inst, ij if ok else ps)
+    return _pair_cost(inst, list(seen))
 
 
 def make_assignment(inst: Instance, pairs: Iterable[tuple[int, int]]) -> Assignment:
-    ps = tuple(sorted((int(i), int(j)) for i, j in pairs))
+    ps = tuple(sorted(map(_pair_indices, pairs)))
     return Assignment(pairs=ps, total_cost=assignment_cost(inst, ps))
 
 

@@ -21,6 +21,7 @@ from .model import (
     Assignment,
     Instance,
     _pair_cost,
+    _pair_indices,
     instance_digest,
     instance_to_json,
     make_assignment,
@@ -58,11 +59,13 @@ class VerifyReport:
 def check_assignment(inst: Instance, asg: Assignment) -> VerifyReport:
     """Verify degree bounds and pair uniqueness, recomputing the cost.
 
-    Always returns a report; only out-of-range indices raise (ValueError),
-    since no degree can be attributed to a vertex that does not exist.
+    Always returns a report; only a pair that is not two in-range integer
+    indices raises (ValueError), since no degree can be attributed to a
+    vertex that does not exist.
     """
     s, t = inst.s, inst.t
-    for i, j in asg.pairs:
+    for p in asg.pairs:
+        i, j = _pair_indices(p)
         if not (0 <= i < s and 0 <= j < t):
             raise ValueError(f"pair ({i}, {j}) out of range for a {s}x{t} instance")
     i, j = np.array(asg.pairs, dtype=np.int64).reshape(-1, 2).T

@@ -184,6 +184,18 @@ class TestVerify:
         assert {"vertex": "a1", "observed": 0, "bounds": [1, 1]} in out["degree_violations"]
         assert "violation: a1" in captured.err
 
+    def test_duplicated_pair_exits_2_and_is_named(self, instance_file, tmp_path, capsys):
+        path = instance_file(inst([[1, 2]], [0], [2], [0, 0], [2, 2]))
+        asg = tmp_path / "asg.json"
+        asg.write_text(json.dumps({"pairs": [[0, 1], [0, 1]]}))
+        assert main(["verify", path, "--assignment", str(asg)]) == EXIT_INFEASIBLE
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
+        assert out["feasible"] is False
+        assert out["duplicate_pairs"] == [[0, 1]]
+        assert out["recomputed_cost"] == 4
+        assert captured.err.splitlines() == ["violation: duplicate pair [0, 1]"]
+
     def test_solve_output_feeds_verify(self, instance_file, tmp_path, capsys):
         path = instance_file(UNIT)
         assert main(["solve", path]) == EXIT_OK
@@ -351,15 +363,18 @@ class TestBench:
 class TestUsageErrors:
     @pytest.mark.parametrize("command", ["solve", "verify"])
     def test_non_utf8_file_exits_1_without_a_traceback(self, command, instance_file, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_bytes(b"\xff\xfe{}")
-        argv = ["solve", str(bad)] if command == "solve" else ["verify", instance_file(SOLVABLE), "--assignment", str(bad)]
-        proc = run_cli(*argv)
-        assert proc.returncode == EXIT_USAGE
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.splitlines() == [
-            f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
-        ]
+        # A second input nests too deep for the JSON decoder.
+        for content, message in [
+            (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+            (b"[" * 200_000 + b"]" * 200_000, "maximum recursion depth exceeded while decoding a JSON array from a unicode string"),
+        ]:
+            bad = tmp_path / "bad.json"
+            bad.write_bytes(content)
+            argv = ["solve", str(bad)] if command == "solve" else ["verify", instance_file(SOLVABLE), "--assignment", str(bad)]
+            proc = run_cli(*argv)
+            assert proc.returncode == EXIT_USAGE
+            assert "Traceback" not in proc.stderr
+            assert proc.stderr.splitlines() == [f"error: {bad}: {message}"]
 
     def test_missing_file(self, capsys):
         assert main(["solve", "/no/such/file.json"]) == EXIT_USAGE

@@ -3,10 +3,8 @@ from collections import Counter
 import pytest
 
 from bmatch import (
-    DuplicatePairError,
     Instance,
     build_expanded_graph,
-    project_matching,
     transform_costs,
 )
 
@@ -44,8 +42,6 @@ def test_quota_arithmetic():
     assert g.a_surplus_quota == (1, 2)
     assert g.b_demand_quota == (2,)
     assert g.b_surplus_quota == (0,)
-    assert g.quota(("a", 0)) == 1 and g.quota(("a'", 1)) == 2
-    assert g.quota(("b", 0)) == 2 and g.quota(("b'", 0)) == 0
 
 
 def test_quota_zero_surplus_when_demand_equals_capacity():
@@ -58,26 +54,6 @@ def test_surplus_only_vertex_has_no_surplus_surplus_edge():
     g = build_expanded_graph(inst([[5]], [0], [1], [0], [1]))
     assert g.a_demand_quota == (0,) and g.b_demand_quota == (0,)
     assert g.a_surplus_quota == (1,) and g.b_surplus_quota == (1,)
-    assert g.has_edge(("a", 0), ("b", 0))
-    assert g.has_edge(("a", 0), ("b'", 0))
-    assert g.has_edge(("a'", 0), ("b", 0))
-    assert not g.has_edge(("a'", 0), ("b'", 0))
-
-
-def test_weights_replicated_across_copies():
-    g = build_expanded_graph(inst([[3, 8]], [1], [2], [1, 0], [1, 1]))
-    off = g.transform.offset
-    assert g.weight(("a", 0), ("b", 0)) == off - 3
-    assert g.weight(("a'", 0), ("b", 0)) == off - 3
-    assert g.weight(("a", 0), ("b'", 1)) == off - 8
-    with pytest.raises(ValueError, match="surplus"):
-        g.weight(("a'", 0), ("b'", 1))
-
-
-def test_has_edge_rejects_same_side_queries():
-    g = build_expanded_graph(inst([[5]], [0], [1], [0], [1]))
-    with pytest.raises(ValueError, match="A-side"):
-        g.has_edge(("a", 0), ("a'", 0))
 
 
 def test_build_rejects_invalid_instance():
@@ -85,55 +61,20 @@ def test_build_rejects_invalid_instance():
         build_expanded_graph(inst([[1, 1]], [3], [3], [0, 0], [1, 1]))
 
 
-class TestProjection:
-    def fixture(self):
-        return build_expanded_graph(inst([[2, 3]], [1], [2], [1, 1], [1, 1]))
-
-    def test_merges_copies_onto_original_pairs(self):
-        g = self.fixture()
-        asg = project_matching(g, [(("a", 0), ("b", 0)), (("a'", 0), ("b", 1))])
-        assert asg.pairs == ((0, 0), (0, 1))
-        assert asg.total_cost == 5
-
-    def test_rejects_duplicate_original_pair(self):
-        # Two distinct copy pairs, each within quota, collapsing onto the
-        # same original pair.
-        g = build_expanded_graph(inst([[4]], [1], [2], [1], [2]))
-        with pytest.raises(DuplicatePairError):
-            project_matching(g, [(("a", 0), ("b'", 0)), (("a'", 0), ("b", 0))])
-
-    def test_rejects_quota_overflow(self):
-        g = self.fixture()
-        with pytest.raises(ValueError, match="quota"):
-            project_matching(g, [(("a", 0), ("b", 0)), (("a", 0), ("b", 1))])
-
-    def test_rejects_surplus_surplus(self):
-        g = build_expanded_graph(inst([[5]], [0], [1], [0], [1]))
-        with pytest.raises(ValueError, match="surplus-surplus"):
-            project_matching(g, [(("a'", 0), ("b'", 0))])
-
-    def test_rejects_out_of_range_copy(self):
-        g = self.fixture()
-        with pytest.raises(ValueError):
-            project_matching(g, [(("a", 0), ("b", 7))])
-
-    def test_empty_projection(self):
-        g = build_expanded_graph(inst([[5]], [0], [1], [0], [1]))
-        assert project_matching(g, []).pairs == ()
-
-
 def test_solver_allocations_survive_projection(rng):
     # Referee: a copy allocation of the solver's answer, rebuilt here
-    # from scratch, must project back to exactly that assignment.
+    # from scratch, must need no surplus-surplus pair.  The greedy split
+    # fills the demand copies first, so every copy quota holds exactly
+    # when every degree lies within its bounds.
     from conftest import draw_feasible
     from bmatch import solve_ga
+    from bmatch.oracles import check_assignment
 
     # The first instance needs the solver's cleanup: without it, pair
     # (1, 0) would be above demand on both of its sides.
     needs_prune = inst([[0, 2, 1], [0, 0, 2]], [1, 1], [1, 3], [0, 1, 2], [1, 2, 2])
     for fixture in [needs_prune] + [draw_feasible(rng, max_s=3, max_t=3) for _ in range(60)]:
         asg, _ = solve_ga(fixture)
-        g = build_expanded_graph(fixture)
         # rebuild the copy allocation from scratch: demand slots first
         a_left = list(fixture.a_demand)
         b_left = list(fixture.b_demand)
@@ -153,4 +94,4 @@ def test_solver_allocations_survive_projection(rng):
             deg_a[i] > fixture.a_demand[i] and deg_b[j] > fixture.b_demand[j] for i, j in asg.pairs
         ), asg.pairs
         assert not any(x[0] == "a'" and y[0] == "b'" for x, y in copy_pairs), asg.pairs
-        assert project_matching(g, copy_pairs).pairs == asg.pairs
+        assert check_assignment(fixture, asg).feasible

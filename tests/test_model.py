@@ -22,6 +22,7 @@ from bmatch import (
     solve_ga,
     validate_instance,
 )
+from bmatch.oracles import check_assignment
 
 
 class _Level(IntEnum):
@@ -213,6 +214,34 @@ class TestAssignmentCost:
     def test_order_invariant(self, pairs):
         fixture = inst([[1, 2], [4, 8]], [2, 2], [2, 2], [2, 2], [2, 2])
         assert assignment_cost(fixture, pairs) == 15
+
+
+@pytest.mark.parametrize("built", [False, True], ids=["rows", "costs"])
+@pytest.mark.parametrize("pair, cost", [
+    ((0.5, 1), None),
+    ((1.9, 0), None),
+    ((1, np.float64(0)), None),
+    ((True, 0), None),
+    ((1, False), None),
+    ((np.int64(1), np.int32(0)), 3),
+], ids=["float", "float-rounds-down", "numpy-float", "bool-row", "bool-column", "numpy-int"])
+def test_pair_indices_must_be_integers(pair, cost, built):
+    # One rule wherever pairs are priced, whether or not the int64 costs
+    # were built: an index passes operator.index and is not a bool.
+    fixture = inst([[1, 2], [3, 4]], [0, 0], [2, 2], [0, 0], [2, 2])
+    if built:
+        fixture.costs
+    for price in [
+        lambda: assignment_cost(fixture, [pair]),
+        lambda: make_assignment(fixture, [pair]).total_cost,
+        lambda: check_assignment(fixture, Assignment(pairs=(pair,), total_cost=0)).recomputed_cost,
+    ]:
+        if cost is not None:
+            assert price() == cost
+            continue
+        with pytest.raises(ValueError) as err:
+            price()
+        assert str(err.value) == f"pair {pair!r} is not two integer indices"
 
 
 def test_make_assignment_sorts_and_prices():
