@@ -15,9 +15,9 @@ from __future__ import annotations
 import hashlib
 import json
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -36,7 +36,8 @@ __all__ = [
     "instance_digest",
 ]
 
-_INSTANCE_KEYS = ("s", "t", "cost", "a_demand", "a_capacity", "b_demand", "b_capacity")
+_BOUND_KEYS = ("a_demand", "a_capacity", "b_demand", "b_capacity")
+_INSTANCE_KEYS = ("s", "t", "cost", *_BOUND_KEYS)
 # What is left of a canonical document once digits, punctuation and quotes are deleted.
 _CANONICAL_KEYS = "".join(sorted(_INSTANCE_KEYS)).encode()
 
@@ -55,6 +56,18 @@ class InfeasibleInstanceError(ValueError):
         self.reached = reached
 
 
+class _RowsOfCosts:
+    """``Instance.cost`` of an instance that holds no rows, only ``costs``:
+    the tuple rows, built on first read and then held.  An instance built
+    with rows holds them itself, and they shadow this descriptor."""
+
+    def __get__(self, inst: "Instance | None", owner: type | None = None) -> tuple[tuple[int, ...], ...]:
+        if inst is None:
+            raise AttributeError("cost")  # so the dataclass field has no default
+        rows = vars(inst)["cost"] = tuple(map(tuple, inst.costs.tolist()))
+        return rows
+
+
 @dataclass(frozen=True)
 class Instance:
     """Immutable problem instance.
@@ -63,12 +76,13 @@ class Instance:
     bounds are representable so that ``validate_instance`` can report on
     them.  Every solver entry point normalizes and validates first.
     ``costs`` is ``cost`` as a read-only int64 array, built once on first read (OverflowError beyond int64).
+    ``instance_from_json`` fills ``costs`` from canonical text; ``cost`` is then built on first read.
     ``digest`` is ``instance_digest``'s value, computed once; ``instance_from_json`` fills it from canonical text.
     """
 
     s: int
     t: int
-    cost: tuple[tuple[int, ...], ...]
+    cost: tuple[tuple[int, ...], ...] = _RowsOfCosts()  # type: ignore[assignment]
     a_demand: tuple[int, ...]
     a_capacity: tuple[int, ...]
     b_demand: tuple[int, ...]
@@ -172,6 +186,29 @@ def _screen(seq: Any, n: int, name: str, out: list[str], label: str = "") -> boo
     return not bad
 
 
+def _screen_rows(inst: Instance, out: list[str]) -> bool:
+    """``_screen`` for the cost rows.  The verdict takes C-speed passes over
+    the row lengths, the entry types and the minimum of ``costs``; the rows
+    are walked one by one only to name what fails, or to pass int
+    subclasses and costs beyond int64."""
+    try:
+        if len(inst.cost) != inst.s:
+            out.append(f"shape: cost has {len(inst.cost)} rows, expected {inst.s}")
+            return False
+    except TypeError:
+        out.append("shape: cost is not a sequence")
+        return False
+    try:
+        fast = set(map(len, inst.cost)) == {inst.t} and set(map(type, chain.from_iterable(inst.cost))) <= {int}
+        fast = fast and inst.costs.min() >= 0
+    except (TypeError, OverflowError):
+        fast = False
+    ok = True
+    for i, row in enumerate(() if fast else inst.cost):
+        ok &= _screen(row, inst.t, f"cost[{i}]", out, f"cost row {i}")
+    return ok
+
+
 def validate_instance(inst: Instance) -> ValidationReport:
     """Check necessary feasibility conditions; never raises, not even on
     fields without a length (reported as ``shape:`` violations).
@@ -191,22 +228,8 @@ def validate_instance(inst: Instance) -> ValidationReport:
         v.append(f"shape: s={inst.s!r}, t={inst.t!r} must be positive integers")
         return ValidationReport(False, tuple(v))
 
-    try:
-        shapes_ok = len(inst.cost) == inst.s
-        if not shapes_ok:
-            v.append(f"shape: cost has {len(inst.cost)} rows, expected {inst.s}")
-    except TypeError:
-        shapes_ok = False
-        v.append("shape: cost is not a sequence")
-    if shapes_ok:
-        # Walk the rows only to name what fails, or to pass int subclasses and costs beyond int64.
-        try:
-            fast = set(map(len, inst.cost)) == {inst.t} and set(map(type, chain.from_iterable(inst.cost))) <= {int}
-            fast = fast and inst.costs.min() >= 0
-        except (TypeError, OverflowError):
-            fast = False
-        for i, row in enumerate(() if fast else inst.cost):
-            shapes_ok &= _screen(row, inst.t, f"cost[{i}]", v, f"cost row {i}")
+    # Read as one array (instance_from_json), the cost holds s rows of t ints in [0, 2**63 - 1) already.
+    shapes_ok = "cost" not in vars(inst) or _screen_rows(inst, v)
     for name, n in (("a_demand", inst.s), ("a_capacity", inst.s), ("b_demand", inst.t), ("b_capacity", inst.t)):
         shapes_ok &= _screen(getattr(inst, name), n, name, v)
     if not shapes_ok:
@@ -235,22 +258,30 @@ def normalize_instance(inst: Instance) -> Instance:
     Malformed input raises ``ValueError("malformed instance: ...")`` and
     violated bounds ``InfeasibleInstanceError``.  Otherwise returns the
     instance with ``a_capacity[i]`` lowered to ``min(a_capacity[i], t)``
-    (a row never uses more than t distinct columns), ``b_capacity`` alike,
-    sharing the screen's cost array.  Idempotent.
+    (a row never uses more than t distinct columns), ``b_capacity`` alike.
+    The copy holds what ``inst`` holds but its digest: the same cost rows,
+    or none while they are unread, and the screen's cost array.  Idempotent.
     """
     report = validate_instance(inst)
     if report.malformed:
         raise ValueError("malformed instance: " + "; ".join(report.violations))
     if not report.feasible_necessary:
         raise InfeasibleInstanceError("instance bounds cannot be satisfied: " + "; ".join(report.violations))
-    out = replace(
-        inst,
+    held = dict(
+        vars(inst),
         a_capacity=tuple(min(c, inst.t) for c in inst.a_capacity),
         b_capacity=tuple(min(c, inst.s) for c in inst.b_capacity),
     )
-    if "costs" in vars(inst):
-        vars(out)["costs"] = inst.costs
-    return out
+    held.pop("digest", None)
+    return _holding(held)
+
+
+def _holding(held: dict[str, Any]) -> Instance:
+    """An instance whose ``__dict__`` is ``held``: its fields, less ``cost``
+    when only ``costs`` is held, and any of ``costs`` and ``digest``."""
+    inst = object.__new__(Instance)
+    vars(inst).update(held)
+    return inst
 
 
 def _pair_indices(p: Any) -> tuple[int, int]:
@@ -324,8 +355,35 @@ def instance_from_json(text: str) -> Instance:
     separators=(",", ":"))``, which encodes tuples like lists, gives back
     ``data`` exactly.  Any other text, canonical ones with strings, floats
     or negatives among the values included, is encoded when the digest is read.
+
+    Canonical text is read by ``_read_canonical``, its cost rows as one
+    int64 array, when that can prove the result the same; any other text,
+    and canonical text it cannot prove, is read whole by ``json.loads``.
     """
+    data = text.strip(" \t\n\r").encode() if text.isascii() else b""  # canonical text is ASCII
+    canonical = data.count(b'"') == 14 and data.translate(None, b'0123456789,:[]{}"') == _CANONICAL_KEYS
+    digest = _sha12(data) if canonical else None
+    inst = _read_canonical(data, digest) if canonical else None
+    del data  # not alive with the tuples below
+    if inst is not None:
+        return inst
     doc = json.loads(text)
+    _check_document(doc)
+    inst = Instance(
+        s=doc["s"],
+        t=doc["t"],
+        cost=tuple(tuple(row) for row in doc["cost"]),
+        **{key: tuple(doc[key]) for key in _BOUND_KEYS},
+    )
+    if digest is not None:
+        vars(inst)["digest"] = digest
+    return inst
+
+
+def _check_document(doc: Any) -> None:
+    """Raise ValueError, naming the first fault, unless ``doc`` is an object
+    of exactly the 7 keys with integer ``s`` and ``t``, a list of lists for
+    ``cost`` and lists for the bounds."""
     if not isinstance(doc, dict):
         raise ValueError("instance document must be a JSON object")
     unknown = sorted(set(doc) - set(_INSTANCE_KEYS))
@@ -339,25 +397,99 @@ def instance_from_json(text: str) -> Instance:
     cost = doc["cost"]
     if not isinstance(cost, list) or not all(isinstance(r, list) for r in cost):
         raise ValueError("cost must be a list of lists")
-    for key in ("a_demand", "a_capacity", "b_demand", "b_capacity"):
+    for key in _BOUND_KEYS:
         if not isinstance(doc[key], list):
             raise ValueError(f"{key} must be a list")
-    data = text.strip(" \t\n\r").encode()
-    canonical = data.count(b'"') == 14 and data.translate(None, b'0123456789,:[]{}"') == _CANONICAL_KEYS
-    digest = _sha12(data) if canonical else None
-    del data  # not alive with the tuples below
-    inst = Instance(
-        s=doc["s"],
-        t=doc["t"],
-        cost=tuple(tuple(row) for row in cost),
-        a_demand=tuple(doc["a_demand"]),
-        a_capacity=tuple(doc["a_capacity"]),
-        b_demand=tuple(doc["b_demand"]),
-        b_capacity=tuple(doc["b_capacity"]),
-    )
-    if digest is not None:
-        vars(inst)["digest"] = digest
-    return inst
+
+
+def _read_canonical(data: bytes, digest: str) -> Instance | None:
+    """The instance that canonical ``data`` encodes, holding its cost as
+    one int64 array and ``digest``; None when that array cannot be proven
+    to be the cost rows, or the document would fail ``_check_document``.
+
+    The cost value is the segment from ``"cost":`` to ``,"s":``, which the
+    sorted keys put between them.  The rest, with the segment cut to
+    ``[]``, is read by ``json.loads``: it parses to the 7 keys only if the
+    ``[]`` stands where the cost value stood, so once the segment is proven
+    to be s rows of t integers, the whole text parses to the same document
+    with the rows in place of ``[]``.
+    """
+    i, j = data.find(b'"cost":') + len(b'"cost":'), data.find(b',"s":')
+    if i < len(b'"cost":') or j < i:
+        return None
+    try:
+        doc = json.loads(data[:i] + b"[]" + data[j:])
+        _check_document(doc)
+    except (ValueError, RecursionError):  # today's path raises it again, with the message for the whole text
+        return None
+    s, t = doc["s"], doc["t"]
+    costs = _cost_matrix(data, i, j, s, t)
+    if costs is None:
+        return None
+    return _holding({"s": s, "t": t, "costs": costs, "digest": digest, **{key: tuple(doc[key]) for key in _BOUND_KEYS}})
+
+
+def _cost_matrix(data: bytes, i: int, j: int, s: int, t: int) -> np.ndarray | None:
+    """The read-only s x t int64 matrix that ``data[i:j]`` spells, read by
+    one ``np.fromstring``, or None.  ``np.fromstring`` takes text that JSON
+    refuses (``01``, a trailing comma) and some numpy versions return what
+    they read so far instead of raising, so ``_row_slices`` proves the
+    shape on the bytes first and the count is checked after.  It saturates
+    entries at 2**63 - 1 without a warning, so that value is refused too:
+    the rows keep it, and any larger entry, exactly."""
+    rows = _row_slices(data, i, j, s, t)
+    if rows is None:
+        return None
+    joined = b",".join(map(data.__getitem__, rows))
+    try:
+        costs = np.fromstring(joined, dtype=np.int64, sep=",")
+    except ValueError:
+        return None
+    if costs.size != s * t or costs.max() == np.iinfo(np.int64).max:
+        return None
+    costs = costs.reshape(s, t)
+    costs.flags.writeable = False
+    return costs
+
+
+def _row_slices(data: bytes, i: int, j: int, s: int, t: int) -> list[slice] | None:
+    """Where the rows of ``data[i:j]`` lie, when it is exactly
+    ``[[e,...,e],...,[e,...,e]]``: s rows of t entries, each entry digits
+    without a leading zero; None otherwise.  No more than two buffers the
+    size of the segment are alive at once beside ``data``."""
+    seg = np.frombuffer(data, np.uint8, j - i, i)
+    opens, closes = np.flatnonzero(seg == ord("[")), np.flatnonzero(seg == ord("]"))
+    # "[[" row "],[" row ... "],[" row "]]": s + 1 brackets of each kind, two
+    # opening the segment, two closing it, and every other pair "],[".  So
+    # row k is seg[opens[k + 1] + 1 : closes[k]], and holds no bracket.
+    if not (
+        len(opens) == len(closes) == s + 1
+        and data.startswith(b"[[", i) and data.endswith(b"]]", i, j)
+        and (opens[2:] == closes[:-2] + 2).all() and (seg[closes[:-2] + 1] == ord(",")).all()
+    ):
+        return None
+    starts, ends = (opens[1:] + i + 1).tolist(), (closes[:-1] + i).tolist()
+    # t - 1 commas in each row, counted on the bytes: no full-size buffer.
+    if set(map(data.count, repeat(b",", s), starts, ends)) != {t - 1}:
+        return None
+    # Nothing but digits besides the brackets and those s * t - 1 commas.
+    if np.count_nonzero(seg - ord("0") < 10) != len(seg) - 2 * (s + 1) - (s * t - 1):
+        return None
+    # No empty entry: each row opens and closes on a digit, and no comma is next to another.
+    if (seg[np.concatenate((opens[1:] + 1, closes[:-1] - 1))] - ord("0") >= 10).any():
+        return None
+    comma = seg == ord(",")
+    if np.logical_and(comma[1:], comma[:-1]).any():
+        return None
+    # No leading zero: no 0 that opens an entry, after a "[" or a comma, with a digit after it.
+    zero_after = seg[1:-1] == ord("0")  # at p: seg[p + 1] is 0
+    after_open = zero_after[opens[1:]]
+    zero_after &= comma[:-2]
+    zero_after[opens[1:]] = after_open
+    openers = np.flatnonzero(zero_after)
+    if (seg[openers + 2] - ord("0") < 10).any():
+        return None
+    return list(map(slice, starts, ends))
 
 
 def _sha12(data: bytes) -> str:
