@@ -196,6 +196,17 @@ class _Residual:
         return (u, len(self.adj[u]) - 1)
 
 
+def _bound_over_capacity(net: FlowNetwork) -> tuple[str, int, int] | None:
+    """The first vertex whose demand exceeds its capacity, with both, or
+    None.  Its bound arc's lower bound is above its capacity, so no
+    circulation exists, and ``_lower_bound_reduction`` would give that arc
+    a negative residual capacity: both referees check this first."""
+    for u, v, lower, cap, _ in net.arcs:
+        if lower > cap:
+            return net.nodes[v if u == net.source else u], lower, cap
+    return None
+
+
 def _lower_bound_reduction(net: FlowNetwork) -> tuple[_Residual, int, int, int, list[tuple[int, int]]]:
     """Standard transform: arc lower bounds become node excesses served by
     a super source/sink pair; original arcs keep capacity - lower."""
@@ -250,10 +261,13 @@ def feasibility_check(inst: Instance) -> tuple[bool, dict]:
     """Exact feasibility via a max-flow test on the circulation encoding.
 
     Feasible: certificate is a witness assignment.  Infeasible: certificate
-    is the saturated cut (residual-reachable node set) and the amount of
-    demand it strands.
+    is the vertex whose demand exceeds its capacity, or else the saturated
+    cut (residual-reachable node set) and the amount of demand it strands.
     """
     net = build_flow_network(inst)
+    if over := _bound_over_capacity(net):
+        node, demand, capacity = over
+        return False, {"kind": "bound", "node": node, "demand": demand, "capacity": capacity}
     res, super_source, super_sink, needed, handles = _lower_bound_reduction(net)
     flowed = _bfs_max_flow(res, super_source, super_sink)
     if flowed == needed:
@@ -334,6 +348,9 @@ def solve_flow_reference(inst: Instance) -> Assignment:
     InfeasibleInstanceError when the bounds cannot be met.
     """
     net = build_flow_network(inst)
+    if over := _bound_over_capacity(net):
+        node, demand, capacity = over
+        raise InfeasibleInstanceError(f"flow reference: {node} demand {demand} exceeds its capacity {capacity}")
     res, super_source, super_sink, needed, handles = _lower_bound_reduction(net)
     flowed, flow_cost = _dijkstra_min_cost_flow(res, super_source, super_sink, needed)
     if flowed < needed:

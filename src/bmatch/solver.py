@@ -85,6 +85,11 @@ INF = 2**62
 LIFT = 3 * 2**61
 # Sign of a search's dual shift by the side of its root (``apply_potentials``).
 _LABEL_SHIFT = {"a": 1, "b": -1}
+# Each pool step moves one unit on a vertex's surplus copy (``augment``).
+_POOL_STEPS = {
+    "feed": ("row", "fed", 1), "unfeed": ("row", "unfed", -1),
+    "park": ("column", "parked", 1), "release": ("column", "released", -1),
+}
 
 
 class InternalSolverError(RuntimeError):
@@ -95,65 +100,54 @@ class InternalSolverError(RuntimeError):
 class CapacitatedMatching:
     """Mutable matching over original pairs with per-copy bookkeeping.
 
-    ``routed[i]`` counts row i's matches on its demand copy and
-    ``parked[j]`` column j's matches on its surplus copy; the other two
-    copy counts follow from the degrees, and each copy's quota is a
-    demand or surplus array below.  ``cost``, the demands, the
-    capacities and the surplus quotas (capacity - demand) are the
-    instance's, as int64 arrays built once.  ``lifted`` is
-    ``cost + LIFT * matched``, kept in step by every pair flip.
+    The vertex arrays run over the search's node ids (rows 0..s-1, then
+    columns s..s+t-1).  ``extra[v]`` counts v's matches on its surplus
+    copy, the units the pool fed a row or parked at a column, so
+    ``deg - extra`` counts its demand copy's, on either side.  ``cost``
+    and the quotas (``demand``, ``capacity``, ``surplus`` = capacity -
+    demand) are the instance's, as int64 arrays built once.  ``lifted``
+    is ``cost + LIFT * matched``, kept in step by every pair flip.
     """
 
     matched: np.ndarray  # (s, t) bool
-    deg_a: np.ndarray
-    deg_b: np.ndarray
-    routed: np.ndarray
-    parked: np.ndarray
     cost: np.ndarray  # (s, t) int64
     lifted: np.ndarray  # (s, t) int64
-    a_demand: np.ndarray
-    a_capacity: np.ndarray
-    a_surplus: np.ndarray
-    b_demand: np.ndarray
-    b_capacity: np.ndarray
-    b_surplus: np.ndarray
+    deg: np.ndarray
+    extra: np.ndarray
+    demand: np.ndarray
+    capacity: np.ndarray
+    surplus: np.ndarray
 
     @classmethod
     def empty(cls, inst: Instance) -> "CapacitatedMatching":
-        s, t = inst.s, inst.t
-        a = np.array((inst.a_demand, inst.a_capacity), dtype=np.int64)
-        b = np.array((inst.b_demand, inst.b_capacity), dtype=np.int64)
+        demand = np.array((*inst.a_demand, *inst.b_demand), dtype=np.int64)
+        capacity = np.array((*inst.a_capacity, *inst.b_capacity), dtype=np.int64)
         return cls(
-            matched=np.zeros((s, t), dtype=bool),
-            deg_a=np.zeros(s, dtype=np.int64),
-            deg_b=np.zeros(t, dtype=np.int64),
-            routed=np.zeros(s, dtype=np.int64),
-            parked=np.zeros(t, dtype=np.int64),
+            matched=np.zeros((inst.s, inst.t), dtype=bool),
             cost=inst.costs,
             lifted=inst.costs.copy(),
-            a_demand=a[0], a_capacity=a[1], a_surplus=a[1] - a[0],
-            b_demand=b[0], b_capacity=b[1], b_surplus=b[1] - b[0],
+            deg=np.zeros_like(demand), extra=np.zeros_like(demand),
+            demand=demand, capacity=capacity, surplus=capacity - demand,
         )
 
     def unmet(self, root: CopyRef) -> bool:
         """Whether demand copy ``root``, ``("a", i)`` or ``("b", j)``, still
         has a unit to place."""
-        side, k = root
-        if side == "a":
-            return self.routed[k] < self.a_demand[k]
-        return self.deg_b[k] - self.parked[k] < self.b_demand[k]
+        v = root[1] + (root[0] == "b") * len(self.matched)
+        return self.deg[v] - self.extra[v] < self.demand[v]
 
     def flip(self, i: int, j: int, d: int) -> None:
         """Add (``d = 1``) or drop (``d = -1``) pair (i, j), keeping
         ``matched``, ``lifted`` and both degrees in step."""
         self.matched[i, j] = d > 0
         self.lifted[i, j] += d * LIFT
-        self.deg_a[i] += d
-        self.deg_b[j] += d
+        self.deg[i] += d
+        self.deg[len(self.matched) + j] += d
 
     def droppable(self) -> np.ndarray:
         """Mask of the matched pairs above demand on both sides."""
-        return self.matched & (self.deg_a > self.a_demand)[:, None] & (self.deg_b > self.b_demand)[None, :]
+        above, s = self.deg > self.demand, len(self.matched)
+        return self.matched & above[:s, None] & above[None, s:]
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
@@ -262,8 +256,8 @@ def _check_exact_domain(inst: Instance, c_max: int) -> None:
 
     Then settled distances are at most min(s, t)*C + K and tentative ones
     at most that plus one arc, C + K; ``INF + K`` fits in int64; each term
-    of the dual objective is at most K and its partial sums at most
-    s*t*K; the matched cost is at most P*C.
+    of the dual objective is at most K per bound unit or pair, and its
+    partial sums at most 2*s*t*K; the matched cost is at most P*C.
 
     A search relaxes through ``lifted = cost + LIFT*matched`` with
     LIFT = INF + 2**61, and every pair a relax may not use must come out
@@ -359,7 +353,7 @@ class SolverState:
         self.q = np.zeros(inst.t, dtype=np.int64)
         self.mu = 0
         # How many demand units may still end in spare column capacity.
-        self.park_budget = max(0, int(m.a_demand.sum() - m.b_demand.sum()))
+        self.park_budget = max(0, int(m.demand[:s].sum() - m.demand[s:].sum()))
         self.dual_updates = 0
         self.cand = np.full(s + t + 1, INF, dtype=np.int64)
         self.unsettled = np.ones(s + t + 1, dtype=bool)
@@ -385,21 +379,20 @@ class SolverState:
 
     def check_dual_invariants(self) -> None:
         """Raise if any residual arc has negative reduced cost."""
-        m = self.matching
+        m, s = self.matching, self.s
         rc = m.cost - self.p[:, None] - self.q[None, :]
         if np.any(rc[~m.matched] < 0):
             raise InternalSolverError("unmatched pair with negative reduced cost")
         if np.any(rc[m.matched] > 0):
             raise InternalSolverError("matched pair with positive reduced cost")
-        fed = m.deg_a - m.routed
-        if np.any((self.mu + self.p)[fed < m.a_surplus] < 0):
-            raise InternalSolverError("pool->row arc with negative reduced cost")
-        if np.any((-self.p - self.mu)[fed > 0] < 0):
-            raise InternalSolverError("row->pool arc with negative reduced cost")
-        if np.any((self.q - self.mu)[m.parked < m.b_surplus] < 0):
-            raise InternalSolverError("column->pool arc with negative reduced cost")
-        if np.any((self.mu - self.q)[m.parked > 0] < 0):
-            raise InternalSolverError("pool->column arc with negative reduced cost")
+        # Each vertex's dual r over node ids: a spare surplus slot has a pool
+        # arc that needs r >= 0, a unit on a surplus copy one that needs r <= 0.
+        r = np.concatenate((self.mu + self.p, self.q - self.mu))
+        spare, back = (r < 0) & (m.extra < m.surplus), (r > 0) & (m.extra > 0)
+        for arc, bad in (("pool->row", spare[:s]), ("row->pool", back[:s]),
+                         ("column->pool", spare[s:]), ("pool->column", back[s:])):
+            if bad.any():
+                raise InternalSolverError(f"{arc} arc with negative reduced cost")
 
     def dual_objective(self) -> int:
         """Value of the dual solution carried by the current potentials.
@@ -407,18 +400,14 @@ class SolverState:
         By weak duality it lower-bounds every feasible assignment's cost;
         at termination it equals the matched cost, certifying optimality.
         """
-        m = self.matching
-        r = self.mu + self.p
-        s_ = self.q - self.mu
-        w = np.maximum(0, r[:, None] + s_[None, :] - m.cost)
-        value = (
-            int((m.a_demand * np.maximum(r, 0)).sum())
-            - int((m.a_capacity * np.maximum(-r, 0)).sum())
-            + int((m.b_demand * np.maximum(s_, 0)).sum())
-            - int((m.b_capacity * np.maximum(-s_, 0)).sum())
+        m, s = self.matching, self.s
+        r = np.concatenate((self.mu + self.p, self.q - self.mu))  # per vertex, over node ids
+        w = np.maximum(0, r[:s, None] + r[None, s:] - m.cost)
+        return (
+            int((m.demand * np.maximum(r, 0)).sum())
+            - int((m.capacity * np.maximum(-r, 0)).sum())
             - int(w.sum())
         )
-        return value
 
     def apply_potentials(self, path: AugmentingPath) -> None:
         """Shift potentials so the augmenting path's arcs become tight.
@@ -508,22 +497,21 @@ def grow_forest(state: SolverState, root: CopyRef) -> AugmentingPath:
     forward = root[0] == "a"
     s, t = state.s, state.t
     pool = s + t
-    fed = m.deg_a - m.routed
-    # x_ret: an optional match on side X that can go back to the pool;
-    # y_spare: a spare surplus slot on side Y that the pool can feed.
     if forward:
         g, px, py, mu = m.lifted, state.p, state.q, state.mu
         x0, y0, other = 0, s, "b"
-        x_ret, y_spare = fed > 0, m.parked < m.b_surplus
-        y_short = (m.deg_b - m.parked) < m.b_demand  # columns that still need partners
-        pool_ends = state.park_budget > 0
     else:
         g, px, py, mu = m.lifted.T, state.q, state.p, -state.mu
         x0, y0, other = s, 0, "a"
-        x_ret, y_spare = m.parked > 0, fed < m.a_surplus
-        y_short = np.zeros(s, dtype=bool)
-        pool_ends = True
     nx, ny = len(px), len(py)
+    side_x, side_y = slice(x0, x0 + nx), slice(y0, y0 + ny)
+    # ret: a surplus-copy unit that can go back to the pool; spare: a
+    # surplus slot the pool can feed.
+    ret, spare = m.extra > 0, m.extra < m.surplus
+    x_ret, y_spare = ret[side_x], spare[side_y]
+    # Columns that still need partners; a column root finishes only at the pool.
+    y_short = (m.deg - m.extra < m.demand)[side_y] & forward
+    pool_ends = state.park_budget > 0 or not forward
     short = np.flatnonzero(y_short)  # empty on every column root
 
     # cand (the state's, all INF between searches) holds the tentative
@@ -612,8 +600,8 @@ def grow_forest(state: SolverState, root: CopyRef) -> AugmentingPath:
                     break
                 # Pool without park budget left (row roots only): pass
                 # through it into a row's spare slot or a parked column unit.
-                relax(on_x, np.where(fed < m.a_surplus, dv + (mu + px), INF), v)
-                relax(on_y, np.where(m.parked > 0, dv + (mu - py), INF), v)
+                relax(on_x, np.where(spare[side_x], dv + (mu + px), INF), v)
+                relax(on_y, np.where(ret[side_y], dv + (mu - py), INF), v)
                 level = dv
             elif x0 <= v < x0 + nx:
                 x = v - x0
@@ -682,7 +670,9 @@ def augment(m: CapacitatedMatching, path: AugmentingPath) -> CapacitatedMatching
     A path may take a vertex over its capacity midway and back by its
     end, so capacities are checked once the steps are done, at the
     vertices a match step raised: only there can a degree have grown.
+    The root's demand copy, which no pool step counts, is checked last.
     """
+    s = len(m.matched)
     raised: list[tuple[int, int]] = []
     for op in path.steps:
         kind = op[0]
@@ -697,28 +687,24 @@ def augment(m: CapacitatedMatching, path: AugmentingPath) -> CapacitatedMatching
             if not m.matched[i, j]:
                 raise InternalSolverError(f"path unmatches unmatched pair ({i}, {j})")
             m.flip(i, j, -1)
-        elif kind == "park":
-            j = op[1]
-            m.parked[j] += 1
-            if m.parked[j] > m.b_surplus[j]:
-                raise InternalSolverError(f"column {j} parked above its surplus quota")
-        elif kind == "release":
-            j = op[1]
-            if m.parked[j] == 0:
-                raise InternalSolverError(f"column {j} released below zero")
-            m.parked[j] -= 1
-        elif kind in ("feed", "unfeed"):
-            pass  # row-side split is tracked by deg_a - routed
+        elif kind in _POOL_STEPS:
+            name, done, d = _POOL_STEPS[kind]
+            k = op[1]
+            v = k + (name == "column") * s
+            if m.extra[v] + d < 0:
+                raise InternalSolverError(f"{name} {k} {done} below zero")
+            m.extra[v] += d
+            if m.extra[v] > m.surplus[v]:
+                raise InternalSolverError(f"{name} {k} {done} above its surplus quota")
         else:
             raise InternalSolverError(f"unknown path step {op!r}")
-    if path.root[0] == "a":
-        r = path.root[1]
-        m.routed[r] += 1
-        if m.routed[r] > m.a_demand[r]:
-            raise InternalSolverError(f"row {r} routed above its demand quota")
     for i, j in raised:
-        if m.deg_a[i] > m.a_capacity[i] or m.deg_b[j] > m.b_capacity[j]:
+        if m.deg[i] > m.capacity[i] or m.deg[s + j] > m.capacity[s + j]:
             raise InternalSolverError("augmentation exceeded a capacity")
+    side, k = path.root
+    v = k + (side == "b") * s
+    if m.deg[v] - m.extra[v] > m.demand[v]:
+        raise InternalSolverError(f"{'row' if side == 'a' else 'column'} {k} routed above its demand quota")
     return m
 
 
@@ -801,7 +787,7 @@ def _column_start(state: SolverState) -> int:
     number of pairs placed.
     """
     m, s, t = state.matching, state.s, state.t
-    c, demand, cap = m.cost, m.b_demand, m.a_capacity
+    c, demand, cap = m.cost, m.demand[s:], m.capacity[:s]
     # Ranking by c*s + i (distinct keys, in int64 by the exact domain)
     # breaks cost ties toward the lowest row; c - q ranks by (c - q)*t + j.
     key = c * s + np.arange(s)[:, None]
@@ -824,20 +810,19 @@ def _set_start(state: SolverState, pick: np.ndarray, p: np.ndarray, q: np.ndarra
     """Write a warm start's pairs and labels onto the empty matching.
 
     ``pick`` is the start's matched mask; ``matched``, ``lifted`` and the
-    degrees change as ``augment`` would change them, a row's pairs filling
-    its demand copy first.  One ``check_dual_invariants`` confirms the
-    start.  Returns the number of pairs placed.
+    degrees change as ``augment`` would change them, each vertex's pairs
+    filling its demand copy first.  One ``check_dual_invariants`` confirms
+    the start.  Returns the number of pairs placed.
     """
     m = state.matching
     m.matched |= pick
     m.lifted[pick] += LIFT
-    m.deg_a += pick.sum(axis=1)
-    m.deg_b += pick.sum(axis=0)
-    np.minimum(m.deg_a, m.a_demand, out=m.routed)
+    m.deg += np.concatenate((pick.sum(axis=1), pick.sum(axis=0)))
+    np.maximum(m.deg - m.demand, 0, out=m.extra)
     state.p[:] = p
     state.q[:] = q
     state.check_dual_invariants()
-    return int(m.deg_a.sum())
+    return int(pick.sum())
 
 
 def _prune_unneeded_pairs(state: SolverState) -> int:
@@ -851,17 +836,17 @@ def _prune_unneeded_pairs(state: SolverState) -> int:
     dropping a pair only lowers degrees, so no other pair can become
     droppable, and each candidate is checked again when its turn comes.
     """
-    m = state.matching
+    m, s = state.matching, state.s
     removed = 0
     for i, j in zip(*(x.tolist() for x in np.nonzero(m.droppable())), strict=True):
-        if m.deg_a[i] > m.a_demand[i] and m.deg_b[j] > m.b_demand[j]:
+        if m.deg[i] > m.demand[i] and m.deg[s + j] > m.demand[s + j]:
             if m.cost[i, j] != 0:
                 raise InternalSolverError(
                     f"optimal matching carries a droppable pair ({i}, {j}) "
                     f"of non-zero cost {int(m.cost[i, j])}"
                 )
             m.flip(i, j, -1)
-            m.parked[j] -= 1
+            m.extra[[i, s + j]] -= 1  # both ends are above demand: each drops a surplus unit
             removed += 1
     return removed
 
@@ -874,12 +859,9 @@ def _check_output(state: SolverState) -> None:
     matched pair may be above demand on both of its sides.
     """
     m = state.matching
-    if np.any(m.matched.sum(axis=1) != m.deg_a) or np.any(m.matched.sum(axis=0) != m.deg_b):
+    if np.any(np.concatenate((m.matched.sum(axis=1), m.matched.sum(axis=0))) != m.deg):
         raise InternalSolverError("degree counters disagree with the matched pairs")
-    if (
-        np.any(m.deg_a < m.a_demand) or np.any(m.deg_a > m.a_capacity)
-        or np.any(m.deg_b < m.b_demand) or np.any(m.deg_b > m.b_capacity)
-    ):
+    if np.any((m.deg < m.demand) | (m.deg > m.capacity)):
         raise InternalSolverError("a vertex degree is outside its bounds")
     both = m.droppable()
     if both.any():
@@ -893,9 +875,9 @@ def _solve(
     m = state.matching
     warm = 0
     placed = {"a": 0, "b": 0}  # units placed from row roots (phase 1) and column roots (phase 2)
-    if all(np.all(x == 1) for x in (m.a_demand, m.a_capacity, m.b_demand, m.b_capacity)):
+    if np.all(m.demand == 1) and np.all(m.capacity == 1):
         warm = placed["a"] = _warm_start(state)
-    elif not m.a_demand.any():
+    elif not m.demand[: state.s].any():
         warm = placed["b"] = _column_start(state)
     if warm and observer is not None:
         observer(state)
@@ -911,7 +893,7 @@ def _solve(
             if observer is not None:
                 observer(state)
 
-    if np.any(m.routed != m.a_demand) or np.any(m.deg_b - m.parked != m.b_demand):
+    if np.any(m.deg - m.extra != m.demand):
         raise InternalSolverError("phases ended with unmet demand")
 
     cost = int(m.cost[m.matched].sum())
@@ -970,6 +952,6 @@ def solve_lca(
     t0 = time.perf_counter()
     state = SolverState(inst)
     m = state.matching
-    if np.any(m.a_demand != 1) or np.any(m.b_demand != 1):
+    if np.any(m.demand != 1):
         raise ValueError("this algorithm requires every demand to be exactly 1")
     return _solve(state, "lca", observer, t0)

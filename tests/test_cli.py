@@ -99,6 +99,17 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "infeasible" in err
 
+    @pytest.mark.parametrize("algorithm", ["ga", "lca", "flow", "brute"])
+    def test_demand_above_capacity_exits_2(self, algorithm, instance_file, tmp_path, monkeypatch, capsys):
+        # Row 0 demands 3 of a capacity of 2: every algorithm calls it
+        # infeasible on one line, and none dumps a fixture.
+        monkeypatch.chdir(tmp_path)
+        path = instance_file(inst([[3, 0, 5], [2, 7, 1]], [3, 0], [2, 1], [0, 1, 0], [1, 2, 1]))
+        assert main(["solve", "--algorithm", algorithm, path]) == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible: ") and err.count("\n") == 1
+        assert not list(tmp_path.glob("bmatch-internal-*.json"))
+
     def test_lca_on_nonunit_demands_is_a_usage_error(self, instance_file):
         path = instance_file(inst([[5, 7]], [2], [2], [0, 0], [1, 1]))
         assert main(["solve", "--algorithm", "lca", path]) == EXIT_USAGE

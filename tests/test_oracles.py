@@ -153,6 +153,25 @@ class TestFlowReference:
             assert check_assignment(fixture, asg).feasible
 
 
+# A demand above its capacity: the lower-bound reduction would give that
+# vertex's bound arc a negative residual capacity.
+@pytest.mark.parametrize(
+    "fixture, bound",
+    [
+        (inst([[3, 0, 5], [2, 7, 1]], [3, 0], [2, 1], [0, 1, 0], [1, 2, 1]), ("a0", 3, 2)),
+        (inst([[1, 2]], [0], [2], [2, 0], [1, 1]), ("b0", 2, 1)),
+    ],
+    ids=["row", "column"],
+)
+def test_flow_referees_refuse_a_demand_above_capacity(fixture, bound):
+    node, demand, capacity = bound
+    assert feasibility_check(fixture) == (
+        False, {"kind": "bound", "node": node, "demand": demand, "capacity": capacity}
+    )
+    with pytest.raises(InfeasibleInstanceError, match=f"^flow reference: {node} demand {demand} exceeds"):
+        solve_flow_reference(fixture)
+
+
 class TestRandomInstance:
     def test_respects_shape_bounds(self):
         rng = random.Random(7)

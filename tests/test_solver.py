@@ -207,8 +207,7 @@ class TestSearchPrimitives:
         augment(st.matching, path)
         m = st.matching
         assert m.pairs == ((0, 0),)
-        assert list(m.routed) == [1] and list(m.deg_a - m.routed) == [0]
-        assert list(m.deg_b - m.parked) == [1, 0] and list(m.parked) == [0, 0]
+        assert list(m.deg - m.extra) == [1, 1, 0] and list(m.extra) == [0, 0, 0]
 
     def test_augment_rejects_double_match(self):
         st = self.state()
@@ -233,6 +232,21 @@ class TestSearchPrimitives:
         st = self.state()  # every column has capacity == demand: no surplus slot
         with pytest.raises(InternalSolverError, match="parked above its surplus quota"):
             augment(st.matching, self.hand_path(st, ("a", 0), (("park", 0),)))
+
+    def test_augment_rejects_feed_above_surplus_quota(self):
+        st = self.state()  # row 0 demands 1 and may take 2: one surplus slot
+        with pytest.raises(InternalSolverError, match="^row 0 fed above its surplus quota$"):
+            augment(st.matching, self.hand_path(st, ("b", 0), (("feed", 0), ("feed", 0))))
+
+    def test_augment_rejects_unfeed_below_zero(self):
+        st = self.state()
+        with pytest.raises(InternalSolverError, match="^row 0 unfed below zero$"):
+            augment(st.matching, self.hand_path(st, ("b", 0), (("unfeed", 0),)))
+
+    def test_augment_rejects_column_routing_above_demand(self):
+        st = SolverState(inst([[2, 3]], [1], [2], [1, 0], [1, 1]))  # column 1 demands 0
+        with pytest.raises(InternalSolverError, match="^column 1 routed above its demand quota$"):
+            augment(st.matching, self.hand_path(st, ("b", 1), (("match", 0, 1),)))
 
     def test_augment_rejects_release_below_zero(self):
         st = self.state()
@@ -260,7 +274,7 @@ class TestSearchPrimitives:
         augment(m, self.hand_path(st, ("b", 0), (("match", 1, 0),)))
         augment(m, self.hand_path(st, ("a", 0), (("match", 0, 0), ("unmatch", 1, 0))))
         assert m.pairs == ((0, 0),)
-        assert list(m.deg_a) == [1, 0] and list(m.deg_b) == [1]
+        assert list(m.deg) == [1, 0, 1]
         assert np.array_equal(m.lifted, m.cost + LIFT * m.matched)
 
     def test_forest_and_steps_are_plain_python_values(self):
@@ -291,7 +305,7 @@ class TestSearchPrimitives:
 def test_output_check_catches_broken_counters():
     st = SolverState(inst([[2, 3]], [0], [2], [0, 0], [1, 1]))
     solver_module._check_output(st)  # the empty matching meets every bound
-    st.matching.deg_a[0] += 1
+    st.matching.deg[0] += 1
     with pytest.raises(InternalSolverError, match="disagree"):
         solver_module._check_output(st)
     demanding = SolverState(inst([[2, 3]], [1], [2], [0, 0], [1, 1]))
@@ -313,10 +327,12 @@ DUAL_FAULTS = {
     "unmatched pair with negative reduced cost": lambda st: _set(st, "p", 0, 2),
     "matched pair with positive reduced cost": lambda st: st.matching.flip(0, 1, 1),
     "pool->row arc with negative reduced cost": lambda st: _set(st, "p", 0, -1),
-    "row->pool arc with negative reduced cost": lambda st: st.matching.flip(0, 0, 1),
+    "row->pool arc with negative reduced cost": lambda st: (
+        st.matching.flip(0, 0, 1), _set(st.matching, "extra", 0, 1)
+    ),
     "column->pool arc with negative reduced cost": lambda st: setattr(st, "mu", 1),
     "pool->column arc with negative reduced cost": lambda st: (
-        _set(st.matching, "parked", 0, 1), setattr(st, "mu", -1)
+        _set(st.matching, "extra", 2, 1), setattr(st, "mu", -1)
     ),
 }
 
@@ -388,10 +404,8 @@ def test_matching_quotas_equal_the_copy_view(rng):
         state = SolverState(draw_feasible(rng, max_s=5, max_t=5, cap_max=4))
         graph = expansion.build_expanded_graph(state.inst)
         m = state.matching
-        assert m.a_demand.tolist() == list(graph.a_demand_quota)
-        assert m.a_surplus.tolist() == list(graph.a_surplus_quota)
-        assert m.b_demand.tolist() == list(graph.b_demand_quota)
-        assert m.b_surplus.tolist() == list(graph.b_surplus_quota)
+        assert m.demand.tolist() == [*graph.a_demand_quota, *graph.b_demand_quota]
+        assert m.surplus.tolist() == [*graph.a_surplus_quota, *graph.b_surplus_quota]
 
 
 def test_search_arrays_are_reset_after_every_search(monkeypatch):
@@ -673,10 +687,10 @@ class TestRuntimeInvariants:
             nonlocal checked
             state.check_dual_invariants()
             m = state.matching
-            assert np.all(m.routed <= m.a_demand)
-            assert np.all(m.parked <= m.b_capacity - m.b_demand)
-            assert np.all(m.deg_a >= m.routed)
-            assert np.all(m.parked <= m.deg_b)
+            assert np.all(m.deg - m.extra <= m.demand)
+            assert np.all(m.extra <= m.surplus)
+            assert np.all(m.extra >= 0)
+            assert np.all(m.extra <= m.deg)
             checked += 1
 
         for _ in range(40):
@@ -694,8 +708,7 @@ class TestRuntimeInvariants:
                 continue  # zero-demand instance: no augmentations at all
             state = final[0]
             m = state.matching
-            assert m.routed.tolist() == list(fixture.a_demand)
-            assert (m.deg_b - m.parked).tolist() == list(fixture.b_demand)
+            assert (m.deg - m.extra).tolist() == [*fixture.a_demand, *fixture.b_demand]
 
     def test_phase_one_count_equals_total_row_demand(self, rng):
         for _ in range(30):
@@ -938,12 +951,47 @@ def test_column_start_follows_its_rule():
         m = state.matching
         got = {(int(i), int(j)) for i, j in zip(*np.nonzero(m.matched))}
         assert (got, state.p.tolist(), state.q.tolist(), state.mu) == (pairs, p, q, 0), fixture
-        assert placed == len(pairs) == int(m.deg_b.sum())
-        assert m.deg_a.tolist() == m.matched.sum(axis=1).tolist() and not m.routed.any()
+        assert placed == len(pairs) == int(m.deg[state.s :].sum())
+        assert m.deg[: state.s].tolist() == m.matched.sum(axis=1).tolist() and not (m.deg - m.extra)[: state.s].any()
         assert np.array_equal(m.lifted, m.cost + LIFT * m.matched)
         checked += 1
         tied += ties
     assert checked >= 300 and tied >= 40, (checked, tied)
+
+
+def test_set_start_records_a_column_above_its_demand():
+    # Both unit rows take column 0, which demands 1 of a capacity of 2:
+    # its second pair sits on its surplus copy, as a parked unit would.
+    state = SolverState(inst([[0, 0], [0, 0]], [1, 1], [1, 1], [1, 0], [2, 1]))
+    pick = np.array([[True, False], [True, False]])
+    zero = np.zeros(2, dtype=np.int64)
+    assert solver_module._set_start(state, pick, zero, zero) == 2  # passes check_dual_invariants
+    assert state.matching.extra.tolist() == [0, 0, 1, 0]
+
+
+def test_surplus_counts_balance_the_pool():
+    # A unit on a column's surplus copy came into the pool and a unit on a
+    # row's left it.  A phase-1 pool finish leaves one unit in the pool
+    # and spends one of park budget, a pass-through leaves none, and a
+    # phase-2 unit or a column-start pair takes one out.
+    rng = random.Random(0x9001)
+    checked = 0
+    for _ in range(3000):
+        fixture = draw_instance(rng, max_s=6, max_t=6, cap_max=4)
+        states = []
+        try:
+            budget = SolverState(fixture).park_budget
+            _, rep = solve_ga(fixture, observer=states.append)
+        except ValueError:  # InfeasibleInstanceError included
+            continue
+        if not states:
+            continue  # nothing placed
+        st = states[-1]
+        m, s = st.matching, st.s
+        into_pool = int(m.extra[s:].sum()) - int(m.extra[:s].sum())
+        assert into_pool == budget - st.park_budget - rep.phase2_augmentations, fixture
+        checked += 1
+    assert checked >= 2000, checked
 
 
 def test_top_of_domain_stays_exact_on_row_demand_zero_shapes(monkeypatch):
