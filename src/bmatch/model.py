@@ -296,16 +296,11 @@ def _pair_indices(p: Any) -> tuple[int, int]:
         raise ValueError(f"pair {p!r} is not two integer indices") from None
 
 
-def assignment_cost(inst: Instance, pairs: Iterable[tuple[int, int]] | np.ndarray) -> int:
-    """Total cost of a pair set or (n, 2) index array.  Rejects pairs that are
-    not two integer indices, out-of-range and duplicate pairs.  An integer
-    array is checked in C; anything else is walked one by one, which also
-    names the first bad pair as given."""
+def assignment_cost(inst: Instance, pairs: Iterable[tuple[int, int]]) -> int:
+    """Total cost of a pair set.  Rejects pairs that are not two integer
+    indices, out-of-range and duplicate pairs, naming the first bad pair
+    as given."""
     s, t = inst.s, inst.t
-    if isinstance(pairs, np.ndarray) and pairs.dtype.kind == "i" and pairs.shape[1:] == (2,):
-        in_range = ((0 <= pairs) & (pairs < (s, t))).all()
-        if in_range and np.diff(np.sort(pairs[:, 0] * t + pairs[:, 1])).all():  # no pair twice
-            return _pair_cost(inst, pairs)
     seen: set[tuple[int, int]] = set()
     for p in pairs:
         i, j = _pair_indices(p)

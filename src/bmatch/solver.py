@@ -8,17 +8,19 @@ residual graph under node potentials, so every intermediate matching is a
 cheapest matching for the demand units already placed, and the final one
 is a global optimum certified by its dual values.
 
-Node potentials: ``p[i]`` (rows), ``q[j]`` (columns), ``mu`` (pool), with
-reduced pair cost ``c[i][j] - p[i] - q[j]``.  Invariants kept after every
-update: unmatched pairs have reduced cost >= 0, matched pairs <= 0, and
-every available pool arc has non-negative reduced cost.  Exposed labels
+One dual per vertex, ``r`` over the search's node ids (rows, then
+columns): a pair costs ``c[i][j] - r[i] - r[s + j]`` reduced, and a pool
+arc ``r[v]`` onto v's surplus copy, ``-r[v]`` off it.  Invariants kept
+after every update: unmatched pairs have reduced cost >= 0, matched
+pairs <= 0, and every available pool arc has non-negative reduced cost.
+Exposed labels
 (``SolverState.labels``) are the weight-space view of the same duals:
-``l_a[i] = offset - p[i]``, ``l_b[j] = -q[j]``, identical on the demand
-and surplus copy of a vertex, and initialized at the row maximum of the
-transformed weights / zero.  The labels, the pool potential ``mu`` and
-the per-pair terms ``z_ij = max(0, W[i][j] - l_a[i] - l_b[j])`` (the dual
-of "each pair at most once") together form the full dual: matched pairs
-have ``l_a[i] + l_b[j] <= W[i][j]`` with the gap exactly ``z_ij``, and
+``l_a[i] = offset - r[i]``, ``l_b[j] = -r[s + j]``, identical on the
+demand and surplus copy of a vertex, and initialized at the row maximum
+of the transformed weights / zero.  The labels and the per-pair terms
+``z_ij = max(0, W[i][j] - l_a[i] - l_b[j])`` (the dual of "each pair at
+most once") together form the full dual: matched pairs have
+``l_a[i] + l_b[j] <= W[i][j]`` with the gap exactly ``z_ij``, and
 unmatched pairs have ``l_a[i] + l_b[j] >= W[i][j]``.
 
 Two phases, mirroring the two vertex sides:
@@ -61,7 +63,7 @@ from typing import Callable
 import numpy as np
 
 from .expansion import CopyRef, ExpandedGraph, build_expanded_graph
-from .model import Assignment, InfeasibleInstanceError, Instance, assignment_cost, normalize_instance
+from .model import Assignment, InfeasibleInstanceError, Instance, normalize_instance
 
 __all__ = [
     "INF",
@@ -231,14 +233,15 @@ def _check_exact_domain(inst: Instance, c_max: int) -> None:
     """Reject costs for which a solve's int64 arithmetic could wrap.
 
     Let C = ``c_max`` and P = min(sum a_capacity, sum b_capacity) on the
-    clipped instance, so no matching has more than P pairs.  Write the
-    potentials as one node label phi: ``p[i]`` on rows, ``-q[j]`` on
-    columns, ``-mu`` on the pool.  A residual arc u->v then has reduced
-    cost ``cost(u, v) - phi[u] + phi[v]``, with cost c_ij on a match, -c_ij
-    on an unmatch and 0 on a pool arc, so a path's reduced length D is
-    its cost plus the label difference of its ends.  Labels start in
-    [0, C].  A phase-1 update lowers every label by min(dist, D), which
-    lies in [0, D]; a phase-2 update raises it by the same amount.
+    clipped instance, so no matching has more than P pairs.  Track one
+    node label phi, the pool's included, that ``r`` reads against the
+    pool's: ``phi[v] - phi[pool]`` on a row, ``phi[pool] - phi[v]`` on a
+    column.  A residual arc u->v then has reduced cost
+    ``cost(u, v) - phi[u] + phi[v]``, with cost c_ij on a match, -c_ij on
+    an unmatch and 0 on a pool arc, so a path's reduced length D is its
+    cost plus the label difference of its ends.  Labels start in [0, C].
+    A phase-1 update lowers every label by min(dist, D), which lies in
+    [0, D]; a phase-2 update raises it by the same amount.
 
     * Phase 1.  Every column still short of demand (its demand count only
       grows at a path's end) and the pool, while park budget remains, is
@@ -252,7 +255,8 @@ def _check_exact_domain(inst: Instance, c_max: int) -> None:
       pool since.  Hence again D <= cost(path), and S2 is at most the cost
       phase 2 adds.
     * So every label lies in [-S1, C + S2] with S1 + S2 <= P*C, and every
-      potential, or difference of two, is at most K = (P + 1)*C in size.
+      entry of ``r``, a difference of two labels, is at most
+      K = (P + 1)*C in size.
 
     Then settled distances are at most min(s, t)*C + K and tentative ones
     at most that plus one arc, C + K; ``INF + K`` fits in int64; each term
@@ -262,26 +266,26 @@ def _check_exact_domain(inst: Instance, c_max: int) -> None:
     A search relaxes through ``lifted = cost + LIFT*matched`` with
     LIFT = INF + 2**61, and every pair a relax may not use must come out
     in [INF, 2**63): never below a candidate, and never wrapped.  Settling
-    node v at dv, with r the pair's reduced cost:
+    node v at dv, with rc the pair's reduced cost:
 
-    * from side X, a matched pair reads LIFT + dv + r with r in [-K, 0];
-    * from side Y, an unmatched pair reads LIFT + dv - r with r in
-      [0, C + K], and the scalar ``LIFT + dv + py[y]`` is its largest
-      partial sum (``g[x] - py`` and ``px - g[:, y]`` stay within
+    * from side X, a matched pair reads LIFT + dv + rc with rc in [-K, 0];
+    * from side Y, an unmatched pair reads LIFT + dv - rc with rc in
+      [0, C + K], and the scalar ``LIFT + dv + ry[y]`` is its largest
+      partial sum (``g[x] - ry`` and ``rx - g[:, y]`` stay within
       LIFT + C + K in size).
 
-    Bounding dv and ``py[y]`` apart (min(s, t)*C + 2K) is too loose for
+    Bounding dv and ``ry[y]`` apart (min(s, t)*C + 2K) is too loose for
     s = t = 1.  Jointly: dv is the tree path's cost plus the difference of
-    its end labels, and ``py[y]`` cancels the label of y, so ``dv + py[y]``
-    is the path's cost, at most min(s, t)*C (each match arc leaves a
-    distinct row for a distinct column; other arcs cost <= 0), plus the
-    root's label term: at least -S1 on a row root, at most C + S2 on a
-    column root.  So ``dv + py[y]`` and dv are at most min(s, t)*C + K,
-    and the lifted values lie in [LIFT - C - K, LIFT + min(s, t)*C + K].
+    its end labels, and ``ry[y]`` trades the label of y for the pool's, so
+    ``dv + ry[y]`` is the path's cost, at most min(s, t)*C (each match arc
+    leaves a distinct row for a distinct column; other arcs cost <= 0),
+    less the root's ``r``, at most K in size.  So ``dv + ry[y]`` and dv
+    are at most min(s, t)*C + K, and the lifted values lie in
+    [LIFT - C - K, LIFT + min(s, t)*C + K].
     That is inside [INF, 2**63) when (P + 1 + max(1, min(s, t)))*C < 2**61.
     The step that settles the rows the pool fed at one distance
     (``grow_forest``) computes, in int64 arrays, the entries each of those
-    rows' own relax would, ``g[x] - py`` and ``dv - px[x]`` among them, so
+    rows' own relax would, ``g[x] - ry`` and ``dv - rx[x]`` among them, so
     these bounds cover it as they stand.  It relaxes no pool arc: the pool
     that fed the rows is already settled.
 
@@ -290,9 +294,10 @@ def _check_exact_domain(inst: Instance, c_max: int) -> None:
     cost array.  A cost beyond int64 fails that conversion, so no array is
     built; the caller then passes the rows' exact max, which fails here.
 
-    When every bound is 1, ``_warm_start`` sets the first labels; then
-    s = t = P = n, and no pool arc or phase 2 is used.  Its q only falls
-    from the column minima, so each ``p[i] = min(c[i] - q)`` is >= 0.
+    When every bound is 1, ``_warm_start`` sets the first labels,
+    ``r = (p, q)`` with the pool's at 0; then s = t = P = n, and no pool
+    arc or phase 2 is used.  Its q only falls from the column minima, so
+    each ``p[i] = min(c[i] - q)`` is >= 0.
     Before any q falls every reduced cost is <= C; after, a free column
     keeps its minimum as q and one exists while a row is free, so a free
     row's cheapest reduced cost is <= C, and so is its second-cheapest
@@ -304,16 +309,15 @@ def _check_exact_domain(inst: Instance, c_max: int) -> None:
     n*n*K < 2**61 follow from the same check, as n*n*(3n + 1) is at least
     2n + 2 and n*n*(n + 2).
 
-    When every row demand is 0, ``_column_start`` sets the first labels
-    and phase 1 is empty, so S1 = 0.  Each q[j] is a cost or 0, so q lies
-    in [0, C]; each p[i] is 0 or some c_ij - q_j, so p lies in [-C, 0];
-    mu = 0.  Labels start in [-C, 0].  A column the start leaves short
-    starts at -q_j <= 0, at or below the pool's label, so the phase-2
-    argument holds as it stands: D <= cost(path), and S2 is at most the
-    cost phase 2 adds, at most P*C.  Labels lie in [-C, S2], every
-    potential or difference of two is at most K = (P + 1)*C in size, and
-    a column root's label term is at most S2.  Every bound above holds
-    unchanged.
+    When every row demand is 0, ``_column_start`` sets the first labels,
+    ``r = (p, q)`` again, and phase 1 is empty, so S1 = 0.  Each q[j] is a
+    cost or 0, so q lies in [0, C]; each p[i] is 0 or some c_ij - q_j, so
+    p lies in [-C, 0].  Labels start in [-C, 0].  A column the start
+    leaves short starts at -q_j <= 0, at or below the pool's label, so the
+    phase-2 argument holds as it stands: D <= cost(path), and S2 is at
+    most the cost phase 2 adds, at most P*C.  Labels lie in [-C, S2], so
+    every entry of ``r`` is at most K = (P + 1)*C in size, and every bound
+    above holds unchanged.
     """
     s, t = inst.s, inst.t
     pairs = min(sum(inst.a_capacity), sum(inst.b_capacity))
@@ -340,6 +344,8 @@ class SolverState:
     group ("a": rows then columns; "b": columns then rows).
     """
 
+    mu = 0  # the pool's dual: ``r`` holds every vertex's relative to it
+
     def __init__(self, inst: Instance):
         inst = normalize_instance(inst)
         c_max = int(inst.costs.max()) if "costs" in vars(inst) else max(map(max, inst.cost))
@@ -349,9 +355,7 @@ class SolverState:
         self.offset = c_max + 1
         self.matching = m = CapacitatedMatching.empty(inst)
         # Feasible initial duals: reduced costs start >= 0 everywhere.
-        self.p = m.cost.min(axis=1).astype(np.int64)
-        self.q = np.zeros(inst.t, dtype=np.int64)
-        self.mu = 0
+        self.r = np.concatenate((m.cost.min(axis=1), np.zeros(t, dtype=np.int64)))
         # How many demand units may still end in spare column capacity.
         self.park_budget = max(0, int(m.demand[:s].sum() - m.demand[s:].sum()))
         self.dual_updates = 0
@@ -369,25 +373,24 @@ class SolverState:
     def labels(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Weight-space vertex labels (shared by demand and surplus copies).
 
-        Together with ``mu`` and the per-pair terms
+        Together with the per-pair terms
         ``z_ij = max(0, W[i][j] - l_a[i] - l_b[j])`` they form the full
         dual.  Matched pairs have label sum <= weight (tight once ``z_ij``
         is added), unmatched pairs label sum >= weight.
         """
-        off = self.offset
-        return tuple(int(off - x) for x in self.p), tuple(int(-x) for x in self.q)
+        off, s = self.offset, self.s
+        return tuple(int(off - x) for x in self.r[:s]), tuple(int(-x) for x in self.r[s:])
 
     def check_dual_invariants(self) -> None:
         """Raise if any residual arc has negative reduced cost."""
-        m, s = self.matching, self.s
-        rc = m.cost - self.p[:, None] - self.q[None, :]
+        m, s, r = self.matching, self.s, self.r
+        rc = m.cost - r[:s, None] - r[None, s:]
         if np.any(rc[~m.matched] < 0):
             raise InternalSolverError("unmatched pair with negative reduced cost")
         if np.any(rc[m.matched] > 0):
             raise InternalSolverError("matched pair with positive reduced cost")
-        # Each vertex's dual r over node ids: a spare surplus slot has a pool
-        # arc that needs r >= 0, a unit on a surplus copy one that needs r <= 0.
-        r = np.concatenate((self.mu + self.p, self.q - self.mu))
+        # A spare surplus slot has a pool arc that needs r >= 0, a unit on
+        # a surplus copy one that needs r <= 0.
         spare, back = (r < 0) & (m.extra < m.surplus), (r > 0) & (m.extra > 0)
         for arc, bad in (("pool->row", spare[:s]), ("row->pool", back[:s]),
                          ("column->pool", spare[s:]), ("pool->column", back[s:])):
@@ -400,8 +403,7 @@ class SolverState:
         By weak duality it lower-bounds every feasible assignment's cost;
         at termination it equals the matched cost, certifying optimality.
         """
-        m, s = self.matching, self.s
-        r = np.concatenate((self.mu + self.p, self.q - self.mu))  # per vertex, over node ids
+        m, s, r = self.matching, self.s, self.r
         w = np.maximum(0, r[:s, None] + r[None, s:] - m.cost)
         return (
             int((m.demand * np.maximum(r, 0)).sum())
@@ -413,17 +415,18 @@ class SolverState:
         """Shift potentials so the augmenting path's arcs become tight.
 
         Reads the search's ``path.dist`` directly, so no snapshot is
-        built.  The distances, capped at the terminal's, shift the node
-        labels (``p``, ``-q``, ``-mu``) down from a row root and up from a
-        column root, whose search ran on the reversed graph.
+        built.  The distances, capped at the terminal's and taken less the
+        pool's, shift the node labels (``r`` on rows, ``-r`` on columns)
+        down from a row root and up from a column root, whose search ran
+        on the reversed graph.
         """
         cap = int(path.dist[path.terminal])
         if cap <= 0:
             return
-        shift = np.minimum(path.dist, cap) * _LABEL_SHIFT[path.root[0]]
-        self.p -= shift[: self.s]
-        self.q += shift[self.s : self.s + self.t]
-        self.mu += int(shift[self.s + self.t])
+        d = np.minimum(path.dist, cap)
+        shift = (d - d[-1]) * _LABEL_SHIFT[path.root[0]]
+        self.r[: self.s] -= shift[: self.s]
+        self.r[self.s :] += shift[self.s : -1]
         self.dual_updates += 1
 
 
@@ -483,8 +486,8 @@ def grow_forest(state: SolverState, root: CopyRef) -> AugmentingPath:
 
     Both directions run one Dijkstra.  It searches from side X (the
     root's) across pairs to side Y and through the pool; a column root is
-    the row case on transposed views, ``(lifted, p, q, mu)`` becoming
-    ``(lifted.T, q, p, -mu)``.  Node ids keep one layout (rows, columns,
+    the row case on transposed views, ``(lifted, r[:s], r[s:])`` becoming
+    ``(lifted.T, r[s:], r[:s])``.  Node ids keep one layout (rows, columns,
     pool) in both directions, so ties break the same way.  Relaxes read
     the lifted cost matrix, where every pair a relax may not use comes
     out at INF or above, so no relax needs a mask of ``matched``.
@@ -498,13 +501,12 @@ def grow_forest(state: SolverState, root: CopyRef) -> AugmentingPath:
     s, t = state.s, state.t
     pool = s + t
     if forward:
-        g, px, py, mu = m.lifted, state.p, state.q, state.mu
-        x0, y0, other = 0, s, "b"
+        g, x0, y0, other = m.lifted, 0, s, "b"
     else:
-        g, px, py, mu = m.lifted.T, state.q, state.p, -state.mu
-        x0, y0, other = s, 0, "a"
-    nx, ny = len(px), len(py)
+        g, x0, y0, other = m.lifted.T, s, 0, "a"
+    nx, ny = g.shape
     side_x, side_y = slice(x0, x0 + nx), slice(y0, y0 + ny)
+    rx, ry = state.r[side_x], state.r[side_y]
     # ret: a surplus-copy unit that can go back to the pool; spare: a
     # surplus slot the pool can feed.
     ret, spare = m.extra > 0, m.extra < m.surplus
@@ -573,13 +575,13 @@ def grow_forest(state: SolverState, root: CopyRef) -> AugmentingPath:
                     dist[ids] = dv
                     cand[ids] = INF
                     unsettled[ids] = False
-                    tight = g[np.ix_(xs, short)] - py[short] == px[xs][:, None]
+                    tight = g[np.ix_(xs, short)] - ry[short] == rx[xs][:, None]
                     hit = tight.any(axis=0)
                     if not hit.any():
                         # One relax of side Y; argmin takes the first of
                         # tied rows, the one the one-node order settles first.
-                        nd = g[xs] - py
-                        nd += (dv - px[xs])[:, None]
+                        nd = g[xs] - ry
+                        nd += (dv - rx[xs])[:, None]
                         best = nd.argmin(axis=0)
                         relax(on_y, nd[best, np.arange(ny)], ids[best])
                         level = -1  # no short column at dv, and the pool is settled
@@ -600,27 +602,27 @@ def grow_forest(state: SolverState, root: CopyRef) -> AugmentingPath:
                     break
                 # Pool without park budget left (row roots only): pass
                 # through it into a row's spare slot or a parked column unit.
-                relax(on_x, np.where(spare[side_x], dv + (mu + px), INF), v)
-                relax(on_y, np.where(ret[side_y], dv + (mu - py), INF), v)
+                relax(on_x, np.where(spare[side_x], dv + rx, INF), v)
+                relax(on_y, np.where(ret[side_y], dv - ry, INF), v)
                 level = dv
             elif x0 <= v < x0 + nx:
                 x = v - x0
-                nd = g[x] - py  # matched pairs: INF or above
-                nd += dv - px[x]
+                nd = g[x] - ry  # matched pairs: INF or above
+                nd += dv - rx[x]
                 relax(on_y, nd, v)
                 level = dv  # side Y holds the short columns, if any
                 if x_ret[x]:
-                    relax_pool(dv - int(px[x]) - mu, v)
+                    relax_pool(dv - int(rx[x]), v)
             else:
                 y = v - y0
                 if y_short[y]:
                     break  # a column that still needs partners: finish here
-                nd = px - g[:, y]  # unmatched pairs: INF or above
-                nd += LIFT + dv + py[y]
+                nd = rx - g[:, y]  # unmatched pairs: INF or above
+                nd += LIFT + dv + ry[y]
                 relax(on_x, nd, v)
                 level = -1  # side X holds no finish
                 if y_spare[y]:
-                    relax_pool(dv + int(py[y]) - mu, v)
+                    relax_pool(dv + int(ry[y]), v)
                     level = dv
         np.copyto(dist, cand, where=unsettled)
         settled = ~unsettled
@@ -776,7 +778,7 @@ def _column_start(state: SolverState) -> int:
     column j takes its ``b_demand[j]`` cheapest rows, ties to the lowest
     row, and ``q[j]`` is the ``b_demand[j]``-th smallest cost of column j
     (0 when ``b_demand[j]`` is 0), so every pair a column took has ``c - q <= 0`` and
-    every other pair ``c - q >= 0``; ``p`` and ``mu`` start at 0.  A row
+    every other pair ``c - q >= 0``; ``p`` starts at 0.  A row
     over its capacity keeps the ``a_capacity[i]`` pairs with the smallest
     ``c - q``, ties to the lowest column, and sets ``p[i]`` to the largest
     kept value, or to ``min(0, min(c[i] - q))`` when it keeps none: dual
@@ -809,9 +811,9 @@ def _column_start(state: SolverState) -> int:
 def _set_start(state: SolverState, pick: np.ndarray, p: np.ndarray, q: np.ndarray) -> int:
     """Write a warm start's pairs and labels onto the empty matching.
 
-    ``pick`` is the start's matched mask; ``matched``, ``lifted`` and the
-    degrees change as ``augment`` would change them, each vertex's pairs
-    filling its demand copy first.  One ``check_dual_invariants`` confirms
+    ``pick`` is the start's matched mask and ``(p, q)`` its duals for
+    ``r``; ``matched``, ``lifted`` and the degrees change as ``augment``
+    would change them, each vertex's pairs filling its demand copy first.  One ``check_dual_invariants`` confirms
     the start.  Returns the number of pairs placed.
     """
     m = state.matching
@@ -819,8 +821,7 @@ def _set_start(state: SolverState, pick: np.ndarray, p: np.ndarray, q: np.ndarra
     m.lifted[pick] += LIFT
     m.deg += np.concatenate((pick.sum(axis=1), pick.sum(axis=0)))
     np.maximum(m.deg - m.demand, 0, out=m.extra)
-    state.p[:] = p
-    state.q[:] = q
+    state.r[: state.s], state.r[state.s :] = p, q
     state.check_dual_invariants()
     return int(pick.sum())
 
@@ -904,10 +905,7 @@ def _solve(
         )
     pruned = _prune_unneeded_pairs(state)
     _check_output(state)
-    ij = np.argwhere(m.matched)
-    assignment = Assignment(pairs=tuple(zip(*ij.T.tolist())), total_cost=assignment_cost(state.inst, ij))
-    if assignment.total_cost != cost:
-        raise InternalSolverError("pruning changed the total cost")
+    assignment = Assignment(pairs=m.pairs, total_cost=cost)
 
     report = SolveReport(
         algorithm=algorithm,

@@ -314,8 +314,8 @@ def test_output_check_catches_broken_counters():
 
 
 def _free_state():
-    # Every demand 0 and every surplus 2: p = (1, 2), q = 0, mu = 0, and
-    # every arc family of check_dual_invariants has members to test.
+    # Every demand 0 and every surplus 2: r = (1, 2, 0, 0), and every arc
+    # family of check_dual_invariants has members to test.
     return SolverState(inst([[1, 3], [2, 2]], [0, 0], [2, 2], [0, 0], [2, 2]))
 
 
@@ -324,15 +324,15 @@ def _set(st, name, k, value):
 
 
 DUAL_FAULTS = {
-    "unmatched pair with negative reduced cost": lambda st: _set(st, "p", 0, 2),
+    "unmatched pair with negative reduced cost": lambda st: _set(st, "r", 0, 2),
     "matched pair with positive reduced cost": lambda st: st.matching.flip(0, 1, 1),
-    "pool->row arc with negative reduced cost": lambda st: _set(st, "p", 0, -1),
+    "pool->row arc with negative reduced cost": lambda st: _set(st, "r", 0, -1),
     "row->pool arc with negative reduced cost": lambda st: (
         st.matching.flip(0, 0, 1), _set(st.matching, "extra", 0, 1)
     ),
-    "column->pool arc with negative reduced cost": lambda st: setattr(st, "mu", 1),
+    "column->pool arc with negative reduced cost": lambda st: _set(st, "r", 2, -1),
     "pool->column arc with negative reduced cost": lambda st: (
-        _set(st.matching, "extra", 2, 1), setattr(st, "mu", -1)
+        _set(st.matching, "extra", 2, 1), _set(st, "r", slice(None), [0, 1, 1, 1])
     ),
 }
 
@@ -359,7 +359,6 @@ END_FAULTS = {
     "dual objective 0 does not certify the matched cost 1": (
         solver_module.SolverState, "dual_objective", lambda st: 0
     ),
-    "pruning changed the total cost": (solver_module, "assignment_cost", lambda fixture, ij: 2),
 }
 
 
@@ -790,8 +789,11 @@ def test_top_of_domain_stays_exact_on_every_small_shape():
     # At the top of the domain the lifted entries come closest to 2**63,
     # and s = t = 1 is the tightest case (see _check_exact_domain).  Costs
     # mix 0, the largest accepted cost and values between, so labels and
-    # distances spread as far as the domain allows.
+    # distances spread as far as the domain allows.  After every
+    # augmentation each dual lies within the proof's K, and the final
+    # duals, read in Python integers, certify the cost.
     rng = random.Random(0x70D0)
+    observed = 0
     for s in (1, 2, 3):
         for t in (1, 2, 3):
             for _ in range(25):
@@ -806,9 +808,27 @@ def test_top_of_domain_stays_exact_on_every_small_shape():
                 cost = [[rng.choice((0, top, rng.randint(0, top))) for _ in range(t)] for _ in range(s)]
                 cost[rng.randrange(s)][rng.randrange(t)] = top
                 top_inst = inst(cost, fixture.a_demand, fixture.a_capacity, fixture.b_demand, fixture.b_capacity)
-                asg, rep = solve_ga(top_inst)
+                states = []
+
+                def watch(state):
+                    m = state.matching
+                    unit = bool((m.demand == 1).all() and (m.capacity == 1).all())  # the warm start's K
+                    assert int(np.abs(state.r).max()) <= (pairs + 1 + unit) * top, top_inst
+                    states.append(state)
+
+                asg, rep = solve_ga(top_inst, observer=watch)
                 assert asg.total_cost == brute_force_optimum(top_inst).total_cost, top_inst
                 assert rep.dual_objective == asg.total_cost
+                observed += len(states)
+                if states:
+                    r, norm = states[-1].r.tolist(), states[-1].inst
+                    dual = (
+                        sum(d * max(x, 0) for d, x in zip((*norm.a_demand, *norm.b_demand), r))
+                        - sum(c * max(-x, 0) for c, x in zip((*norm.a_capacity, *norm.b_capacity), r))
+                        - sum(max(0, r[i] + r[s + j] - cost[i][j]) for i in range(s) for j in range(t))
+                    )
+                    assert dual == asg.total_cost, top_inst
+    assert observed >= 300, observed
 
 
 def _unit_optimum(cost):
@@ -827,9 +847,9 @@ def _unit_optimum(cost):
 
 
 def test_top_of_domain_stays_exact_on_unit_instances():
-    # Every bound 1, so the warm start sets the first labels: p in [0, C]
-    # and q in [-C, C] (see _check_exact_domain), with C the largest cost
-    # the domain accepts at this size.
+    # Every bound 1, so the warm start sets the first labels: r in [0, C]
+    # on rows and in [-C, C] on columns (see _check_exact_domain), with C
+    # the largest cost the domain accepts at this size.
     rng = random.Random(0x70D1)
     for n in range(1, 9):
         top = (INF - 1) // (2 * n * n * (3 * n + 1))
@@ -841,7 +861,7 @@ def test_top_of_domain_stays_exact_on_unit_instances():
 
             def watch(state):
                 if not first:
-                    first.append((state.p.copy(), state.q.copy()))
+                    first.append((state.r[:n].copy(), state.r[n:].copy()))
 
             asg, rep = solve_ga(fixture, observer=watch)
             want = _unit_optimum(cost)
@@ -950,7 +970,7 @@ def test_column_start_follows_its_rule():
         pairs, p, q, ties = _column_start_reference(fixture)
         m = state.matching
         got = {(int(i), int(j)) for i, j in zip(*np.nonzero(m.matched))}
-        assert (got, state.p.tolist(), state.q.tolist(), state.mu) == (pairs, p, q, 0), fixture
+        assert (got, state.r.tolist()) == (pairs, p + q), fixture
         assert placed == len(pairs) == int(m.deg[state.s :].sum())
         assert m.deg[: state.s].tolist() == m.matched.sum(axis=1).tolist() and not (m.deg - m.extra)[: state.s].any()
         assert np.array_equal(m.lifted, m.cost + LIFT * m.matched)
@@ -996,8 +1016,8 @@ def test_surplus_counts_balance_the_pool():
 
 def test_top_of_domain_stays_exact_on_row_demand_zero_shapes(monkeypatch):
     # Every row demand 0, so the column-greedy start sets the first labels:
-    # p in [-C, 0], q in [0, C] and mu = 0 (see _check_exact_domain), with C
-    # the largest cost the domain accepts at this size.  Each shape up to
+    # r in [-C, 0] on rows and in [0, C] on columns (see _check_exact_domain),
+    # with C the largest cost the domain accepts at this size.  Each shape up to
     # 3x3 meets a column of demand 0 and a row of capacity 0, and each with
     # s, t >= 2 a row over its capacity whose kept and dropped pairs tie
     # on c - q.
@@ -1006,7 +1026,7 @@ def test_top_of_domain_stays_exact_on_row_demand_zero_shapes(monkeypatch):
 
     def recording(state):
         placed = original(state)
-        starts.append((state.p.copy(), state.q.copy(), state.mu))
+        starts.append((state.r[: state.s].copy(), state.r[state.s :].copy()))
         return placed
 
     monkeypatch.setattr(solver_module, "_column_start", recording)
@@ -1034,8 +1054,8 @@ def test_top_of_domain_stays_exact_on_row_demand_zero_shapes(monkeypatch):
                 starts.clear()
                 asg, rep = solve_ga(top_inst)
                 assert asg.total_cost == rep.dual_objective == brute_force_optimum(top_inst).total_cost, top_inst
-                (p, q, mu), = starts
-                assert -top <= p.min() and p.max() <= 0 and 0 <= q.min() and q.max() <= top and mu == 0
+                (p, q), = starts
+                assert -top <= p.min() and p.max() <= 0 and 0 <= q.min() and q.max() <= top
                 solved += 1
                 seen |= {"demand-0 column"} if 0 in fixture.b_demand else set()
                 seen |= {"capacity-0 row"} if 0 in fixture.a_capacity else set()
@@ -1192,7 +1212,7 @@ def test_row_search_with_park_budget_finishes_through_the_first_pool_relax():
     # 1, whose relax set the pool's distance; preferring the lowest spare
     # slot would park in column 0 at the same cost.
     state = SolverState(inst([[2, 2]], [1], [2], [0, 0], [1, 1]))
-    state.p[:], state.q[:] = [1], [0, 1]
+    state.r[:] = [1, 0, 1]
     state.check_dual_invariants()
     path = grow_forest(state, ("a", 0))
     f = path.forest
@@ -1302,9 +1322,9 @@ def test_tie_heavy_instances_match_the_flow_reference(monkeypatch):
             # before the solve applies this search's dual update.
             flip = 1 if f.orientation == "row" else -1
             if u < state.s:
-                leaf, arc = ("a'", u), -flip * int(state.p[u] + state.mu)
+                leaf, arc = ("a'", u), -flip * int(state.r[u])
             else:
-                leaf, arc = ("b'", u - state.s), flip * int(state.q[u - state.s] - state.mu)
+                leaf, arc = ("b'", u - state.s), flip * int(state.r[u])
             assert f.settled[u] and f.dist[u] + arc == f.terminal_dist and path.leaf == leaf, (root, f)
             pool_finishes[f.orientation] += 1
         return path
