@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Instance, validate_instance
+from .model import Instance, _c_max, validate_instance
 
 __all__ = [
     "CopyRef",
@@ -76,7 +76,7 @@ def build_expanded_graph(inst: Instance) -> ExpandedGraph:
     report = validate_instance(inst)
     if not report.feasible_necessary:
         raise ValueError("cannot expand an invalid instance: " + "; ".join(report.violations))
-    c_max = max(map(max, inst.cost))
+    c_max = _c_max(inst)
     return ExpandedGraph(
         instance=inst,
         transform=WeightTransform(c_max=c_max, offset=c_max + 1),

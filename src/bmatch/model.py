@@ -17,7 +17,7 @@ import json
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -276,6 +276,11 @@ def normalize_instance(inst: Instance) -> Instance:
     return _holding(held)
 
 
+def _c_max(inst: Instance) -> int:
+    """The largest cost: from ``costs`` when ``inst`` holds them, else exactly from the rows."""
+    return int(inst.costs.max()) if "costs" in vars(inst) else max(map(max, inst.cost))
+
+
 def _holding(held: dict[str, Any]) -> Instance:
     """An instance whose ``__dict__`` is ``held``: its fields, less ``cost``
     when only ``costs`` is held, and any of ``costs`` and ``digest``."""
@@ -425,19 +430,33 @@ def _read_canonical(data: bytes, digest: str) -> Instance | None:
 
 
 def _cost_matrix(data: bytes, i: int, j: int, s: int, t: int) -> np.ndarray | None:
-    """The read-only s x t int64 matrix that ``data[i:j]`` spells, read by
-    one ``np.fromstring``, or None.  ``np.fromstring`` takes text that JSON
-    refuses (``01``, a trailing comma) and some numpy versions return what
-    they read so far instead of raising, so ``_row_slices`` proves the
-    shape on the bytes first and the count is checked after.  It saturates
-    entries at 2**63 - 1 without a warning, so that value is refused too:
+    """The read-only s x t int64 matrix that ``data[i:j]`` spells, or None.
+
+    With its digits deleted, the segment must be the skeleton of s rows of
+    t - 1 commas.  Its s * t entry slots are its only gaps that touch no
+    bracket's outside, so when no digit sits just before a ``[`` or just
+    after a ``]`` and s * t digit runs open, each slot holds one run; none
+    may open on a 0 with a digit after it.  ``np.fromstring`` reads the
+    segment with its brackets as spaces, which it skips around a comma.  It
+    saturates at 2**63 - 1 without a warning, so that value is refused too:
     the rows keep it, and any larger entry, exactly."""
-    rows = _row_slices(data, i, j, s, t)
-    if rows is None:
+    seg = data[i:j]
+    if min(s, t) < 1 or s * t > len(seg):  # each entry takes a byte: no skeleton beyond the segment's size
         return None
-    joined = b",".join(map(data.__getitem__, rows))
+    if seg.translate(None, b"0123456789") != b"[[" + b"],[".join([b"," * (t - 1)] * s) + b"]]":
+        return None
+    b = np.frombuffer(seg, np.uint8)
+    digit = b - ord("0") < 10
+    opens = digit[1:] & ~digit[:-1]  # at p: a run opens at seg[p + 1]; a digit at seg[0] sits before a [
+    if (
+        np.count_nonzero(opens) != s * t
+        or (digit[:-1] & (b[1:] == ord("["))).any()
+        or (digit[1:] & (b[:-1] == ord("]"))).any()
+        or (opens[:-1] & (b[1:-1] == ord("0")) & digit[2:]).any()
+    ):
+        return None
     try:
-        costs = np.fromstring(joined, dtype=np.int64, sep=",")
+        costs = np.fromstring(seg.translate(bytes.maketrans(b"[]", b"  ")), dtype=np.int64, sep=",")
     except ValueError:
         return None
     if costs.size != s * t or costs.max() == np.iinfo(np.int64).max:
@@ -445,46 +464,6 @@ def _cost_matrix(data: bytes, i: int, j: int, s: int, t: int) -> np.ndarray | No
     costs = costs.reshape(s, t)
     costs.flags.writeable = False
     return costs
-
-
-def _row_slices(data: bytes, i: int, j: int, s: int, t: int) -> list[slice] | None:
-    """Where the rows of ``data[i:j]`` lie, when it is exactly
-    ``[[e,...,e],...,[e,...,e]]``: s rows of t entries, each entry digits
-    without a leading zero; None otherwise.  No more than two buffers the
-    size of the segment are alive at once beside ``data``."""
-    seg = np.frombuffer(data, np.uint8, j - i, i)
-    opens, closes = np.flatnonzero(seg == ord("[")), np.flatnonzero(seg == ord("]"))
-    # "[[" row "],[" row ... "],[" row "]]": s + 1 brackets of each kind, two
-    # opening the segment, two closing it, and every other pair "],[".  So
-    # row k is seg[opens[k + 1] + 1 : closes[k]], and holds no bracket.
-    if not (
-        len(opens) == len(closes) == s + 1
-        and data.startswith(b"[[", i) and data.endswith(b"]]", i, j)
-        and (opens[2:] == closes[:-2] + 2).all() and (seg[closes[:-2] + 1] == ord(",")).all()
-    ):
-        return None
-    starts, ends = (opens[1:] + i + 1).tolist(), (closes[:-1] + i).tolist()
-    # t - 1 commas in each row, counted on the bytes: no full-size buffer.
-    if set(map(data.count, repeat(b",", s), starts, ends)) != {t - 1}:
-        return None
-    # Nothing but digits besides the brackets and those s * t - 1 commas.
-    if np.count_nonzero(seg - ord("0") < 10) != len(seg) - 2 * (s + 1) - (s * t - 1):
-        return None
-    # No empty entry: each row opens and closes on a digit, and no comma is next to another.
-    if (seg[np.concatenate((opens[1:] + 1, closes[:-1] - 1))] - ord("0") >= 10).any():
-        return None
-    comma = seg == ord(",")
-    if np.logical_and(comma[1:], comma[:-1]).any():
-        return None
-    # No leading zero: no 0 that opens an entry, after a "[" or a comma, with a digit after it.
-    zero_after = seg[1:-1] == ord("0")  # at p: seg[p + 1] is 0
-    after_open = zero_after[opens[1:]]
-    zero_after &= comma[:-2]
-    zero_after[opens[1:]] = after_open
-    openers = np.flatnonzero(zero_after)
-    if (seg[openers + 2] - ord("0") < 10).any():
-        return None
-    return list(map(slice, starts, ends))
 
 
 def _sha12(data: bytes) -> str:

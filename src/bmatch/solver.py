@@ -63,7 +63,7 @@ from typing import Callable
 import numpy as np
 
 from .expansion import CopyRef, ExpandedGraph, build_expanded_graph
-from .model import Assignment, InfeasibleInstanceError, Instance, normalize_instance
+from .model import Assignment, InfeasibleInstanceError, Instance, _c_max, normalize_instance
 
 __all__ = [
     "INF",
@@ -348,7 +348,7 @@ class SolverState:
 
     def __init__(self, inst: Instance):
         inst = normalize_instance(inst)
-        c_max = int(inst.costs.max()) if "costs" in vars(inst) else max(map(max, inst.cost))
+        c_max = _c_max(inst)
         _check_exact_domain(inst, c_max)
         self.inst = inst
         self.s, self.t = s, t = inst.s, inst.t

@@ -24,6 +24,7 @@ from bmatch import (
     validate_instance,
 )
 from bmatch.cli import EXIT_USAGE, main
+from bmatch.solver import SolverState
 
 INT64_MAX = 2**63 - 1
 
@@ -109,6 +110,13 @@ CORPUS = [
     ("a colon inside an entry", with_cost_text(BASE, "[[7,0,1:2],[3,40,5]]"), False),
     ("an entry between rows", with_cost_text(BASE, "[[7,0,12],5[40,5,6]]"), False),
     ("a digit for the comma between rows", with_cost_text(BASE, "[[7,0,12,9]5[3,40,5]]"), False),
+    ("a digit before the segment", with_cost_text(BASE, "5[[7,0,12],[3,40,5]]"), False),
+    (",, and a digit after the segment", with_cost_text(BASE, "[[7,,12],[3,40,5]]5"), False),
+    (",, and a digit between the opening brackets", with_cost_text(BASE, "[5[7,,12],[3,40,5]]"), False),
+    (",, and a digit between the closing brackets", with_cost_text(BASE, "[[7,,12],[3,40,5]5]"), False),
+    (",, and a digit after a row", with_cost_text(BASE, "[[7,,12]5,[3,40,5]]"), False),
+    (",, and a digit before a row", with_cost_text(BASE, "[[7,,12],5[3,40,5]]"), False),
+    ("07 and a digit before the segment", with_cost_text(BASE, "5[[07,0,12],[3,40,5]]"), False),
     ("01", with_cost_text(BASE, "[[7,0,12],[03,40,5]]"), False),
     ("00", with_cost_text(BASE, "[[7,00,12],[3,40,5]]"), False),
     ("010 first", with_cost_text(BASE, "[[010,0,12],[3,40,5]]"), False),
@@ -213,6 +221,9 @@ def test_the_array_read_instance_holds_no_rows_until_they_are_read():
     assert clipped.b_capacity == (2, 2, 2) and clipped.a_capacity == (3, 3)
     solve_ga(parsed)
     assert "cost" not in vars(parsed)
+    state = SolverState(parsed)
+    assert state.graph.transform.c_max == 40
+    assert "cost" not in vars(state.inst)
     # Read, the rows are tuples of ints, built once and then held.
     rows = parsed.cost
     assert rows == ((7, 0, 12), (3, 40, 5)) and type(rows[0][0]) is int
