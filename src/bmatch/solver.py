@@ -23,18 +23,18 @@ most once") together form the full dual: matched pairs have
 ``l_a[i] + l_b[j] <= W[i][j]`` with the gap exactly ``z_ij``, and
 unmatched pairs have ``l_a[i] + l_b[j] >= W[i][j]``.
 
-Two phases, mirroring the two vertex sides:
+A warm start places most units first, without a search: when every
+demand and capacity is 1, ``_warm_start`` matches most rows; on every
+other instance ``_column_start`` gives each column its cheapest rows
+within the row capacities.  Then two phases, mirroring the two vertex
+sides:
 
 * Phase 1 roots at every row whose demand is unmet (index order) and
   routes one unit per search toward a column that still needs partners
-  or — when total row demand exceeds total column demand — into spare
-  column capacity ("parking").  When every demand and capacity is 1,
-  ``_warm_start`` first matches most rows without a search.
+  or — when the rows' unmet demand exceeds the columns' — into spare
+  column capacity ("parking").
 * Phase 2 roots at every column whose demand is still unmet and searches
-  backward to the pool, entering through spare row capacity.  When every
-  row demand is 0 (phase 1 is then empty), ``_column_start`` first gives
-  each column its cheapest rows within the row capacities, without a
-  search.
+  backward to the pool, entering through spare row capacity.
 
 Both phases run one search, ``grow_forest``: phase 2 is the phase-1
 Dijkstra run on the reversed residual graph, with rows and columns
@@ -146,6 +146,13 @@ class CapacitatedMatching:
         self.deg[i] += d
         self.deg[len(self.matched) + j] += d
 
+    def park_budget(self) -> int:
+        """How many row units may still end in spare column capacity: the
+        rows' summed shortfall less the columns', floored at 0, where a
+        vertex's shortfall is ``max(0, demand - (deg - extra))``."""
+        short, s = np.maximum(self.demand - (self.deg - self.extra), 0), len(self.matched)
+        return max(0, int(short[:s].sum() - short[s:].sum()))
+
     def droppable(self) -> np.ndarray:
         """Mask of the matched pairs above demand on both sides."""
         above, s = self.deg > self.demand, len(self.matched)
@@ -225,7 +232,7 @@ class SolveReport:
     pruned_pairs: int
     wall_time_ms: float
     # Units a warm start placed, not a search: phase-1 units on all-unit
-    # instances (_warm_start), phase-2 units on row-demand-0 ones (_column_start).
+    # instances (_warm_start), phase-2 units on every other one (_column_start).
     warm_start_pairs: int = 0
 
 
@@ -309,15 +316,27 @@ def _check_exact_domain(inst: Instance, c_max: int) -> None:
     n*n*K < 2**61 follow from the same check, as n*n*(3n + 1) is at least
     2n + 2 and n*n*(n + 2).
 
-    When every row demand is 0, ``_column_start`` sets the first labels,
-    ``r = (p, q)`` again, and phase 1 is empty, so S1 = 0.  Each q[j] is a
-    cost or 0, so q lies in [0, C]; each p[i] is 0 or some c_ij - q_j, so
-    p lies in [-C, 0].  Labels start in [-C, 0].  A column the start
-    leaves short starts at -q_j <= 0, at or below the pool's label, so the
-    phase-2 argument holds as it stands: D <= cost(path), and S2 is at
-    most the cost phase 2 adds, at most P*C.  Labels lie in [-C, S2], so
-    every entry of ``r`` is at most K = (P + 1)*C in size, and every bound
-    above holds unchanged.
+    On every other instance ``_column_start`` sets the first labels,
+    ``r = (p, q)`` again, with the pool's at 0.  Each q[j] is a cost or 0,
+    so q lies in [0, C]; each p[i] is 0 or some c_ij - q_j, so p lies in
+    [-C, 0].  Labels start in [-C, 0], and phase 1 runs after the start.
+
+    * Phase 1.  A root row is short of demand, so the start left its
+      label at 0 (see ``_column_start``), and it sits at -S1 or above.  A
+      column that finishes a path was short since the start, so it
+      started at -q_j <= 0 and sits at -q_j - S1 <= -S1; the pool, while
+      park budget remains, sits at exactly -S1.  Hence D <= cost(path) as
+      before, and S1 is at most the cost phase 1 adds to the start's
+      matching.
+    * Phase 2.  The root column was short since the start: it began at
+      -q_j, not above the pool's 0, and phase 1 lowered it by exactly D
+      at every update and the pool by at most D.  So it ended phase 1 not
+      above the pool, and the phase-2 argument holds as it stands.
+    * So every label lies in [-C - S1, S2], where S1 + S2 is at most the
+      final cost less the start's, at most P*C, and every entry of ``r``
+      is at most K = (P + 1)*C in size: every bound above holds
+      unchanged.  Where every row demand is 0, phase 1 is empty and
+      S1 = 0.
     """
     s, t = inst.s, inst.t
     pairs = min(sum(inst.a_capacity), sum(inst.b_capacity))
@@ -357,7 +376,7 @@ class SolverState:
         # Feasible initial duals: reduced costs start >= 0 everywhere.
         self.r = np.concatenate((m.cost.min(axis=1), np.zeros(t, dtype=np.int64)))
         # How many demand units may still end in spare column capacity.
-        self.park_budget = max(0, int(m.demand[:s].sum() - m.demand[s:].sum()))
+        self.park_budget = m.park_budget()
         self.dual_updates = 0
         self.cand = np.full(s + t + 1, INF, dtype=np.int64)
         self.unsettled = np.ones(s + t + 1, dtype=bool)
@@ -384,10 +403,11 @@ class SolverState:
     def check_dual_invariants(self) -> None:
         """Raise if any residual arc has negative reduced cost."""
         m, s, r = self.matching, self.s, self.r
-        rc = m.cost - r[:s, None] - r[None, s:]
-        if np.any(rc[~m.matched] < 0):
+        rc = m.cost - r[:s, None]
+        rc -= r[None, s:]
+        if np.any((rc < 0) & ~m.matched):
             raise InternalSolverError("unmatched pair with negative reduced cost")
-        if np.any(rc[m.matched] > 0):
+        if np.any((rc > 0) & m.matched):
             raise InternalSolverError("matched pair with positive reduced cost")
         # A spare surplus slot has a pool arc that needs r >= 0, a unit on
         # a surplus copy one that needs r <= 0.
@@ -404,7 +424,9 @@ class SolverState:
         at termination it equals the matched cost, certifying optimality.
         """
         m, s, r = self.matching, self.s, self.r
-        w = np.maximum(0, r[:s, None] + r[None, s:] - m.cost)
+        w = r[:s, None] + r[None, s:]
+        w -= m.cost
+        np.maximum(w, 0, out=w)
         return (
             int((m.demand * np.maximum(r, 0)).sum())
             - int((m.capacity * np.maximum(-r, 0)).sum())
@@ -771,40 +793,80 @@ def _warm_start(state: SolverState) -> int:
 
 
 def _column_start(state: SolverState) -> int:
-    """Place most column demand without a search when every row demand is 0.
+    """Place most column demand without a search on an instance that is
+    not all-unit.
 
     Column reduction (the first step of ``_warm_start``) on b-matching
-    bounds; such an instance has no phase 1 and no park budget.  Each
-    column j takes its ``b_demand[j]`` cheapest rows, ties to the lowest
-    row, and ``q[j]`` is the ``b_demand[j]``-th smallest cost of column j
-    (0 when ``b_demand[j]`` is 0), so every pair a column took has ``c - q <= 0`` and
-    every other pair ``c - q >= 0``; ``p`` starts at 0.  A row
-    over its capacity keeps the ``a_capacity[i]`` pairs with the smallest
-    ``c - q``, ties to the lowest column, and sets ``p[i]`` to the largest
-    kept value, or to ``min(0, min(c[i] - q))`` when it keeps none: dual
-    feasible for its kept and dropped pairs alike, and <= 0, which a full
-    row (no pool->row arc) may have.  Every other row keeps ``p[i] = 0``.
-    Nothing is parked and ``q >= 0``, so the pool arcs hold too.  Phase 2
-    then searches only from the columns this left short.  Returns the
-    number of pairs placed.
+    bounds.  Each column j takes its ``b_demand[j]`` cheapest rows, ties
+    to the lowest row, and ``q[j]`` is the ``b_demand[j]``-th smallest
+    cost of column j (0 when ``b_demand[j]`` is 0), so every pair a
+    column took has ``c - q <= 0`` and every other pair ``c - q >= 0``;
+    ``p`` starts at 0.  A row over its capacity keeps the
+    ``a_capacity[i]`` pairs with the smallest ``c - q``, ties to the
+    lowest column, and sets ``p[i]`` to the largest kept value, or to
+    ``min(0, min(c[i] - q))`` when it keeps none.  Phase 1 then searches
+    from the rows this left short of demand, and phase 2 from the columns
+    it left short.  Returns the number of pairs placed.
+
+    The duals are feasible, pool arcs included:
+
+    * Pairs.  A row that kept every pair its columns gave it has
+      ``p[i] = 0`` and reads ``c - q`` as above.  A row over capacity has
+      ``c - q <= p[i]`` on the pairs it kept and ``>= p[i]`` on those it
+      dropped; every other pair of it has ``c - q >= 0 >= p[i]``, as
+      ``p[i]`` is a kept ``c - q`` of a pair a column took, or at most 0.
+    * Rows.  ``p <= 0`` everywhere, so every row->pool arc holds.  Only a
+      row over capacity may have ``p[i] < 0``, and it keeps exactly
+      ``a_capacity[i] >= a_demand[i]`` pairs: its surplus is full, so it
+      has no pool->row arc.  A row short of demand thus starts at
+      ``p[i] = 0``.
+    * Columns.  No column takes more than its demand, so nothing is
+      parked and no pool->column arc exists; ``q >= 0`` holds every
+      column->pool arc.
+
+    ``_set_start`` then sets the park budget by the rule that sets it on
+    the empty matching, ``CapacitatedMatching.park_budget``: R - C floored
+    at 0, with R and C the summed shortfalls of rows and columns.  A
+    phase-1 path that finishes at a short column lowers R and C by one
+    each, and one that finishes at the pool lowers R and the budget by
+    one, so R - C - budget keeps its start value, min(0, R - C) <= 0.  On
+    a feasible instance take a b-matching that meets every bound, each
+    vertex filling its demand copy first.  Its difference from the
+    current matching is a flow along residual arcs, pool arcs included,
+    out of the rows short of demand (R units) into the columns short of
+    demand (C units), and the pool passes on the balance.  With budget
+    left the pool is a finish, so the root's units reach a finish along
+    that flow.  With none, R <= C: the pool takes in no more of the flow
+    than it sends out, so some unit out of the root reaches a short
+    column, through the pool if need be.  Either way every search from a
+    row short of demand finishes.  The rule on the empty matching's
+    shortfalls would not do: the start's pairs on row surplus copies
+    lower C but not R, so that budget runs out while R > C, and a feasible
+    instance could be called infeasible.
     """
     m, s, t = state.matching, state.s, state.t
     c, demand, cap = m.cost, m.demand[s:], m.capacity[:s]
-    # Ranking by c*s + i (distinct keys, in int64 by the exact domain)
-    # breaks cost ties toward the lowest row; c - q ranks by (c - q)*t + j.
-    key = c * s + np.arange(s)[:, None]
-    last = np.sort(key, axis=0)[np.maximum(demand - 1, 0), np.arange(t)]
-    pick = (key <= last) & (demand > 0)
-    q = np.where(demand > 0, last // s, 0)
-    h = c - q
+    # Only the columns with demand take rows: rank those alone when some
+    # column has none.  Ranking by c*s + i (distinct keys, in int64 by the
+    # exact domain) breaks cost ties toward the lowest row; c - q ranks by
+    # (c - q)*t + j.
+    need = np.flatnonzero(demand)
+    key = (c if need.size == t else c[:, need]) * s + np.arange(s)[:, None]
+    last = np.sort(key, axis=0)[demand[need] - 1, np.arange(need.size)]
+    q = np.zeros(t, dtype=np.int64)
+    q[need] = last // s
+    took = key <= last
+    pick = np.zeros((s, t), dtype=bool)
+    pick[:, need] = took
     p = np.zeros(s, dtype=np.int64)
-    over = np.flatnonzero(pick.sum(axis=1) > cap)
+    over = np.flatnonzero(took.sum(axis=1) > cap)
     if over.size:
         k = cap[over]
-        key = np.where(pick[over], h[over] * t + np.arange(t), INF)
+        h = c[over] - q
+        key = np.where(pick[over], h * t + np.arange(t), INF)
         last = np.sort(key, axis=1)[np.arange(over.size), np.maximum(k - 1, 0)]
         pick[over] &= (key <= last[:, None]) & (k > 0)[:, None]
-        p[over] = np.where(k > 0, last // t, np.minimum(0, h[over].min(axis=1)))
+        p[over] = np.where(k > 0, last // t, np.minimum(0, h.min(axis=1)))
     return _set_start(state, pick, p, q)
 
 
@@ -813,8 +875,10 @@ def _set_start(state: SolverState, pick: np.ndarray, p: np.ndarray, q: np.ndarra
 
     ``pick`` is the start's matched mask and ``(p, q)`` its duals for
     ``r``; ``matched``, ``lifted`` and the degrees change as ``augment``
-    would change them, each vertex's pairs filling its demand copy first.  One ``check_dual_invariants`` confirms
-    the start.  Returns the number of pairs placed.
+    would change them, each vertex's pairs filling its demand copy first.
+    The park budget is set again from the start's matching (see
+    ``_column_start``).  One ``check_dual_invariants`` confirms the start.
+    Returns the number of pairs placed.
     """
     m = state.matching
     m.matched |= pick
@@ -822,6 +886,7 @@ def _set_start(state: SolverState, pick: np.ndarray, p: np.ndarray, q: np.ndarra
     m.deg += np.concatenate((pick.sum(axis=1), pick.sum(axis=0)))
     np.maximum(m.deg - m.demand, 0, out=m.extra)
     state.r[: state.s], state.r[state.s :] = p, q
+    state.park_budget = m.park_budget()
     state.check_dual_invariants()
     return int(pick.sum())
 
@@ -878,7 +943,7 @@ def _solve(
     placed = {"a": 0, "b": 0}  # units placed from row roots (phase 1) and column roots (phase 2)
     if np.all(m.demand == 1) and np.all(m.capacity == 1):
         warm = placed["a"] = _warm_start(state)
-    elif not m.demand[: state.s].any():
+    else:
         warm = placed["b"] = _column_start(state)
     if warm and observer is not None:
         observer(state)

@@ -76,17 +76,21 @@ class TestSolve:
         out = json.loads(capsys.readouterr().out)
         d = out["diagnostics"]
         assert d["dual_objective"] == out["total_cost"] == 7
-        assert d["phase1_augmentations"] == 2
+        # The column start gives column 0 its cheapest row, 0, and phase 1
+        # places row 1's unit.
+        assert (d["warm_start_pairs"], d["phase1_augmentations"], d["phase2_augmentations"]) == (1, 1, 1)
         assert d["dual_updates"] >= 0 and d["pruned_pairs"] >= 0
 
     def test_diagnostics_count_warm_start_pairs(self, instance_file, capsys):
         # Every bound 1: the warm start places both pairs, and they still
-        # count as phase-1 augmentations.  SOLVABLE has a capacity-2 column.
+        # count as phase-1 augmentations.  SOLVABLE has a capacity-2 column,
+        # so the column start places its one pair, a phase-2 unit, and a
+        # phase-1 search places the other.
         one_to_one = inst([[1, 10], [10, 1]], [1, 1], [1, 1], [1, 1], [1, 1])
-        for fixture, warm in ((one_to_one, 2), (SOLVABLE, 0)):
+        for fixture, counts in ((one_to_one, (2, 2, 0)), (SOLVABLE, (1, 1, 1))):
             assert main(["solve", instance_file(fixture)]) == EXIT_OK
             d = json.loads(capsys.readouterr().out)["diagnostics"]
-            assert (d["warm_start_pairs"], d["phase1_augmentations"]) == (warm, 2)
+            assert (d["warm_start_pairs"], d["phase1_augmentations"], d["phase2_augmentations"]) == counts
 
     def test_flow_has_no_phase_diagnostics(self, instance_file, capsys):
         path = instance_file(SOLVABLE)
@@ -140,13 +144,15 @@ class TestSolve:
         assert dumps[0].name == f"bmatch-internal-{instance_digest(SOLVABLE)}.json"
 
     def test_unpruned_output_is_an_internal_error(self, instance_file, capsys, monkeypatch, tmp_path):
-        # Without the cleanup, pair (1, 0) stays above demand on both of
-        # its sides; the solver's output check must call that a fault.
-        fixture = inst([[0, 2, 1], [0, 0, 2]], [1, 1], [1, 3], [0, 1, 2], [1, 2, 2])
+        # The column start gives column 0 row 0, and row 1's unit then
+        # parks at column 0.  Without the cleanup, pair (0, 0) stays above
+        # demand on both of its sides; the solver's output check must call
+        # that a fault.
+        fixture = inst([[0], [2]], [0, 1], [1, 1], [1], [2])
         path = instance_file(fixture)
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr("bmatch.solver._prune_unneeded_pairs", lambda state: 0)
-        with pytest.raises(InternalSolverError, match=r"pair \(1, 0\) is above demand on both sides"):
+        with pytest.raises(InternalSolverError, match=r"pair \(0, 0\) is above demand on both sides"):
             solve_ga(fixture)
         assert main(["solve", path]) == EXIT_INTERNAL
         assert "internal error" in capsys.readouterr().err

@@ -53,12 +53,13 @@ class TestWorkedExamples:
         assert asg.total_cost == 7
 
     def test_second_phase_uses_row_surplus(self):
-        # Phase 1 satisfies the row with its cheaper column; the other
-        # column's demand is then served by the row's spare capacity.
-        asg, rep = solve_ga(inst([[2, 3]], [1], [2], [1, 1], [1, 1]))
-        assert asg.pairs == ((0, 0), (0, 1))
-        assert asg.total_cost == 5
-        assert rep.phase2_augmentations == 1
+        # The column start gives both columns row 0, whose capacity of 1
+        # keeps (0, 0) on the tie; column 1's demand is then served by
+        # row 1's spare capacity, in one phase-2 search.
+        asg, rep = solve_ga(inst([[1, 0], [2, 1]], [1, 0], [1, 1], [1, 1], [1, 2]))
+        assert asg.pairs == ((0, 0), (1, 1))
+        assert asg.total_cost == 2
+        assert (rep.warm_start_pairs, rep.phase1_augmentations, rep.phase2_augmentations) == (1, 0, 2)
 
     def test_lca_diagonal(self):
         asg, rep = solve_lca(inst([[1, 2], [3, 1]], [1, 1], [1, 1], [1, 1], [1, 1]))
@@ -93,16 +94,17 @@ class TestRegressions:
         assert rep.dual_objective == 1
 
     def test_one_augmentation_may_add_two_pairs(self):
-        # Cheapest way to serve both the row demand and the column demand
-        # is a single path through spare capacity: match (0,0), park
-        # nothing, feed row 1, match (1,1).  Forcing one-pair-per-path
-        # would pay 100 instead of 0.
-        fixture = inst([[0, 100], [0, 0]], [1, 0], [1, 1], [0, 1], [1, 1])
+        # The column start gives columns 0 and 1 row 1, whose capacity of 1
+        # keeps (1, 0), so row 0 and column 1 each still need a unit and
+        # there is no park budget.  The cheapest way to serve both is a
+        # single path through spare capacity: match (0,2), park at column
+        # 2, feed row 2, match (2,1).  Forcing one-pair-per-path would pay
+        # 2 instead of 1.
+        fixture = inst([[2, 2, 0], [0, 1, 2], [0, 1, 0]], [1, 0, 0], [1, 1, 2], [1, 1, 0], [3, 1, 1])
         asg, rep = solve_ga(fixture)
-        assert asg.total_cost == 0
-        assert asg.pairs == ((0, 0), (1, 1))
-        assert rep.phase1_augmentations == 1
-        assert rep.phase2_augmentations == 0
+        assert asg.total_cost == 1
+        assert asg.pairs == ((0, 2), (1, 0), (2, 1))
+        assert (rep.warm_start_pairs, rep.phase1_augmentations, rep.phase2_augmentations) == (1, 1, 1)
 
     def test_saturated_four_cycle(self):
         # Both rows need both columns; the optimum is forced and the dual
@@ -113,14 +115,15 @@ class TestRegressions:
         assert len(asg.pairs) == 4
 
     def test_zero_cost_surplus_pair_is_pruned(self):
-        # Row 1's spare capacity lets the solver route through a zero-cost
-        # pair that no demand needs; the cleanup pass must drop it and
+        # The column start gives column 0 row 0 at cost 0, on row 0's
+        # surplus; row 1's unit then parks at column 0, so no demand needs
+        # the zero-cost pair (0, 0).  The cleanup pass must drop it and
         # report doing so, leaving an optimum.
-        fixture = inst([[0, 2, 1], [0, 0, 2]], [1, 1], [1, 3], [0, 1, 2], [1, 2, 2])
+        fixture = inst([[0], [2]], [0, 1], [1, 1], [1], [2])
         asg, rep = solve_ga(fixture)
-        assert rep.pruned_pairs >= 1
+        assert rep.pruned_pairs == 1 and asg.pairs == ((1, 0),)
         assert check_assignment(fixture, asg).feasible
-        assert asg.total_cost == brute_force_optimum(fixture).total_cost == 3
+        assert asg.total_cost == brute_force_optimum(fixture).total_cost == 2
 
 
 class TestInfeasible:
@@ -463,14 +466,15 @@ def test_search_after_another_equals_search_on_fresh_state():
 
 def test_search_with_a_settled_node_back_in_cand_raises():
     # Detach the live masks from the state's unsettled array, so relaxes
-    # put settled nodes back into cand.  On this instance such a search
-    # never ends by itself; it must raise once it has settled more nodes
-    # than the graph has.  In the second, row 1's search feeds rows 0 and
-    # 1 back in through the pool, and the step that settles them together
-    # goes over the count.
+    # put settled nodes back into cand.  On the first instance such a
+    # search never ends by itself; it must raise once it has settled more
+    # nodes than the graph has.  In the second, row 2's search feeds rows
+    # back in through the pool, and the step that settles them together
+    # goes over the count.  On both, the column start leaves a row unit
+    # for phase 1.
     leaky = [
-        (inst([[2, 5], [1, 0]], [0, 1], [2, 1], [1, 2], [1, 2]), 5),
-        (inst([[0, 0, 1], [0, 0, 1]], [1, 1], [3, 2], [0, 1, 2], [1, 1, 2]), 6),
+        (inst([[1, 2], [2, 2]], [1, 2], [1, 2], [1, 1], [2, 1]), 5),
+        (inst([[2, 0, 1], [1, 1, 2], [1, 1, 2]], [1, 1, 1], [1, 3, 3], [1, 2, 1], [1, 2, 1]), 7),
     ]
     for fixture, nodes in leaky:
         state = SolverState(fixture)
@@ -495,7 +499,7 @@ def test_lifted_matrix_follows_every_pair_flip(rng):
         states[:] = [state]
 
     fixtures = [draw_feasible(rng, max_s=5, max_t=5, cap_max=4) for _ in range(60)]
-    fixtures.append(inst([[0, 2, 1], [0, 0, 2]], [1, 1], [1, 3], [0, 1, 2], [1, 2, 2]))
+    fixtures.append(inst([[0], [2]], [0, 1], [1, 1], [1], [2]))
     for fixture in fixtures:
         states.clear()
         _, rep = solve_ga(fixture, observer=watch)
@@ -511,9 +515,11 @@ def test_forest_read_late_equals_forest_read_at_once(monkeypatch):
     # grow_forest returns; the other reads them only after the solve, by
     # which time later augmentations and dual updates have changed the
     # matching and the potentials the forest was computed from.
+    # The column start places 4 pairs; two row searches and two column
+    # searches place the rest.
     fixture = inst(
-        [[4, 1, 7, 3], [2, 8, 5, 6], [9, 3, 2, 4]],
-        [2, 1, 0], [3, 2, 3], [1, 1, 1, 1], [2, 2, 2, 1],
+        [[7, 2, 5, 5], [0, 1, 3, 1], [4, 1, 2, 5], [4, 3, 4, 2]],
+        [2, 1, 0, 2], [3, 1, 1, 3], [1, 2, 3, 2], [2, 2, 3, 2],
     )
     original = solver_module.grow_forest
 
@@ -534,8 +540,8 @@ def test_forest_read_late_equals_forest_read_at_once(monkeypatch):
     _, at_once, rep = solve_recording(True)
     paths, _, _ = solve_recording(False)
     late = [path.forest for path in paths]
-    assert rep.dual_updates >= 2 and rep.phase2_augmentations >= 1
-    assert {f.orientation for f in late} == {"row", "col"}
+    assert rep.dual_updates >= 3 and rep.phase2_augmentations - rep.warm_start_pairs == 2
+    assert [f.orientation for f in late] == ["row", "row", "col", "col"]
     assert late == at_once
 
 
@@ -570,7 +576,8 @@ def _all_unit(fixture):
 
 def _row_demand_zero(fixture):
     """Every row demand is 0 (normalization leaves demands as they are):
-    the instances the column-greedy start serves."""
+    the instances with no phase 1, where the column start's rows take
+    only surplus pairs."""
     return not any(fixture.a_demand)
 
 
@@ -586,14 +593,16 @@ def _digest(records):
 # sha256 of every record of the seeded corpus below, with all-unit
 # instances (see _all_unit) and row-demand-0 instances (see
 # _row_demand_zero) each hashed apart from the rest, so a change to one
-# warm start shows that every other solve stayed as it was.  A change
-# that moves a tie-break, a counter or a message changes a digest; such a
-# change updates the constant and says why.  PINNED_OUTPUTS last moved
-# when a pool finish began to take the arc its relax recorded, in place
-# of a tie rule over the settled nodes: 5 of the corpus's 480 solved
-# records took other pairs of equal cost, and every cost and message
-# stayed as it was.
-PINNED_OUTPUTS = "4142fdcec994c67bb3e6ec8c93f22887855f60e45101c2287beff10cb3f179e9"
+# start, or to how it meets phase 1, shows that every other solve stayed
+# as it was.  A change that moves a tie-break, a counter or a message
+# changes a digest; such a change updates the constant and says why.
+# PINNED_OUTPUTS last moved when the column start began to run on every
+# instance that is not all-unit, not only where every row demand is 0:
+# 331 of the bucket's 335 solved records changed their counters and 36
+# took other pairs of equal cost.  Every cost, dual objective and message
+# stayed as it was, and PINNED_UNIT_OUTPUTS and PINNED_ROW0_OUTPUTS kept
+# their values.
+PINNED_OUTPUTS = "e38861583efb0aafa20f4da06095c5b1f0db3b7f0ddfd6f9751909d6c058229c"
 PINNED_UNIT_OUTPUTS = "d8444e0f2314f61798ff01545679ef418bfcaf52b4a8a1f6b2f0c8f2c8262e22"
 PINNED_ROW0_OUTPUTS = "f706f3f832ff8a50d2647cd876e02bba13dcbddabae9ecbd29739b4978fc8257"
 
@@ -620,13 +629,12 @@ def test_outputs_are_pinned():
 # order and tie-breaks inside grow_forest, which PINNED_OUTPUTS sees only
 # through the answers.  A change to the search loop must leave it as it
 # is; a change that means to move a search updates it and says why.
-# PINNED_SEARCHES last moved when the rows the pool feeds at one distance
-# began to settle in one step: such a search settles every fed row at the
-# finish's distance, and finishes at the lowest short column any of them
-# is tight to, from the lowest row tight to it.  Every answer in the
-# corpus, and PINNED_OUTPUTS, stayed as it was.  PINNED_UNIT_SEARCHES and
-# PINNED_ROW0_SEARCHES kept their values.
-PINNED_SEARCHES = "ed5dae7026e4749ea74cf71ec719a84fbc63e77218831a361572265a9c568054"
+# PINNED_SEARCHES last moved when the column start began to run on every
+# instance that is not all-unit: the searches start from its matching and
+# duals, so fewer of them run, from other states.  Every cost, dual
+# objective and message of the corpus stayed as it was.
+# PINNED_UNIT_SEARCHES and PINNED_ROW0_SEARCHES kept their values.
+PINNED_SEARCHES = "7b556a8dda4d6bfe2056fbce210b668c53bb465010fad4f29bda9a65bee901a7"
 PINNED_UNIT_SEARCHES = "a8f0ac1fb502fc435be1422dcd188dcb731ab459f27d06f7949d8d059d0f9c9a"
 PINNED_ROW0_SEARCHES = "ada68a9acb0646b304796a34f510f1f732e957d28b2b901d91f57fa5d44dfc00"
 
@@ -709,11 +717,29 @@ class TestRuntimeInvariants:
             m = state.matching
             assert (m.deg - m.extra).tolist() == [*fixture.a_demand, *fixture.b_demand]
 
-    def test_phase_one_count_equals_total_row_demand(self, rng):
+    def test_phase_one_count_equals_total_row_demand(self, rng, monkeypatch):
+        # Phase 1 places, one search each, the row units the column start
+        # left unmet; with the units the start placed, that is the total
+        # row demand.  The warm start's pairs count as phase-1 units.
+        original = solver_module._column_start
+        started = []
+
+        def recording(state):
+            placed = original(state)
+            m = state.matching
+            started.append(int(np.minimum(m.deg, m.demand)[: state.s].sum()))
+            return placed
+
+        monkeypatch.setattr(solver_module, "_column_start", recording)
+        by_start = by_search = 0
         for _ in range(30):
             fixture = draw_feasible(rng)
+            started.clear()
             _, rep = solve_ga(fixture)
-            assert rep.phase1_augmentations == sum(fixture.a_demand)
+            assert rep.phase1_augmentations + sum(started) == sum(fixture.a_demand)
+            by_start += sum(started)
+            by_search += rep.phase1_augmentations
+        assert by_start > 0 and by_search > 0, (by_start, by_search)
 
     def test_deterministic_output(self, rng):
         for _ in range(20):
@@ -918,9 +944,11 @@ def test_warm_start_serves_only_all_unit_instances(monkeypatch, rng):
         _, rep = solve_lca(fixture, observer=seen.append)
         assert rep.phase1_augmentations == fixture.s == rep.warm_start_pairs + len(searches)
         assert len(seen) == 1 + len(searches) and rep.phase2_augmentations == 0
-    # A capacity of 2 that normalization keeps: no warm start.
+    # A capacity of 2 that normalization keeps: the column start, not the
+    # warm start, places both pairs, and they count as phase-2 units.
+    searches.clear()
     _, rep = solve_ga(inst([[1, 2], [3, 1]], [1, 1], [2, 1], [1, 1], [1, 1]))
-    assert rep.warm_start_pairs == 0 and rep.phase1_augmentations == 2
+    assert (rep.warm_start_pairs, rep.phase1_augmentations, rep.phase2_augmentations, len(searches)) == (2, 0, 2, 0)
 
 
 def _draw_row_demand_zero(rng, s, t, cost_max):
@@ -934,25 +962,36 @@ def _draw_row_demand_zero(rng, s, t, cost_max):
     return inst(cost, [0] * s, a_cap, b_dem, b_cap)
 
 
+def _draw_bounds(rng, s, t, cost_max):
+    """One s x t instance with capacities 0 to 4 and each demand up to its
+    capacity, not necessarily feasible."""
+    a_cap = [rng.randint(0, 4) for _ in range(s)]
+    b_cap = [rng.randint(0, 4) for _ in range(t)]
+    cost = [[rng.randint(0, cost_max) for _ in range(t)] for _ in range(s)]
+    return inst(cost, [rng.randint(0, c) for c in a_cap], a_cap, [rng.randint(0, c) for c in b_cap], b_cap)
+
+
 def _column_start_reference(fixture):
-    """The column-greedy start's rule in plain Python: the pairs it
-    places, p, q, and how many rows over capacity drop a pair that ties
-    a kept one on c - q.  ``sorted`` is stable, so ties go to the lowest
-    row and, within a row, to the lowest column."""
+    """The column start's rule in plain Python: the pairs it
+    places, p, q, how many rows over capacity drop a pair that ties a
+    kept one on c - q, and the set of rows over capacity.  ``sorted`` is
+    stable, so ties go to the lowest row and, within a row, to the lowest
+    column."""
     s, t, cost = fixture.s, fixture.t, fixture.cost
     col = [[cost[i][j] for i in range(s)] for j in range(t)]
     took = [sorted(range(s), key=col[j].__getitem__)[: fixture.b_demand[j]] for j in range(t)]
     q = [col[j][took[j][-1]] if took[j] else 0 for j in range(t)]
-    pairs, p, tied = set(), [0] * s, 0
+    pairs, p, tied, over = set(), [0] * s, 0, set()
     for i in range(s):
         mine = sorted((cost[i][j] - q[j], j) for j in range(t) if i in took[j])
         cap = min(fixture.a_capacity[i], t)
         if len(mine) > cap:
+            over.add(i)
             tied += cap > 0 and mine[cap - 1][0] == mine[cap][0]
             mine = mine[:cap]
             p[i] = mine[-1][0] if mine else min(0, *(cost[i][j] - q[j] for j in range(t)))
         pairs |= {(i, j) for _, j in mine}
-    return pairs, p, q, tied
+    return pairs, p, q, tied, over
 
 
 def test_column_start_follows_its_rule():
@@ -967,7 +1006,7 @@ def test_column_start_follows_its_rule():
         except InfeasibleInstanceError:
             continue
         placed = solver_module._column_start(state)
-        pairs, p, q, ties = _column_start_reference(fixture)
+        pairs, p, q, ties, _ = _column_start_reference(fixture)
         m = state.matching
         got = {(int(i), int(j)) for i, j in zip(*np.nonzero(m.matched))}
         assert (got, state.r.tolist()) == (pairs, p + q), fixture
@@ -989,33 +1028,49 @@ def test_set_start_records_a_column_above_its_demand():
     assert state.matching.extra.tolist() == [0, 0, 1, 0]
 
 
-def test_surplus_counts_balance_the_pool():
+def test_surplus_counts_balance_the_pool(monkeypatch):
     # A unit on a column's surplus copy came into the pool and a unit on a
-    # row's left it.  A phase-1 pool finish leaves one unit in the pool
-    # and spends one of park budget, a pass-through leaves none, and a
-    # phase-2 unit or a column-start pair takes one out.
+    # row's left it.  Each pair the start puts on a row's surplus copy
+    # takes one out (it puts none on a column's), a phase-1 pool finish
+    # leaves one unit in the pool and spends one of park budget, a
+    # pass-through leaves none, and a phase-2 search takes one out.
+    original_start, original_grow = solver_module._set_start, solver_module.grow_forest
+    starts, roots = [], []
+
+    def starting(state, *args):
+        placed = original_start(state, *args)
+        starts.append((state.park_budget, int(state.matching.extra[: state.s].sum())))
+        return placed
+
+    def counting(state, root):
+        roots.append(root[0])
+        return original_grow(state, root)
+
+    monkeypatch.setattr(solver_module, "_set_start", starting)
+    monkeypatch.setattr(solver_module, "grow_forest", counting)
     rng = random.Random(0x9001)
-    checked = 0
+    checked = fed_at_start = 0
     for _ in range(3000):
         fixture = draw_instance(rng, max_s=6, max_t=6, cap_max=4)
-        states = []
+        states, starts[:], roots[:] = [], [], []
         try:
-            budget = SolverState(fixture).park_budget
-            _, rep = solve_ga(fixture, observer=states.append)
+            solve_ga(fixture, observer=states.append)
         except ValueError:  # InfeasibleInstanceError included
             continue
         if not states:
             continue  # nothing placed
         st = states[-1]
         m, s = st.matching, st.s
+        (budget, fed), = starts
         into_pool = int(m.extra[s:].sum()) - int(m.extra[:s].sum())
-        assert into_pool == budget - st.park_budget - rep.phase2_augmentations, fixture
+        assert into_pool == budget - st.park_budget - roots.count("b") - fed, fixture
         checked += 1
-    assert checked >= 2000, checked
+        fed_at_start += fed > 0
+    assert checked >= 2000 and fed_at_start >= 500, (checked, fed_at_start)
 
 
 def test_top_of_domain_stays_exact_on_row_demand_zero_shapes(monkeypatch):
-    # Every row demand 0, so the column-greedy start sets the first labels:
+    # Every row demand 0, so the column start sets the first labels:
     # r in [-C, 0] on rows and in [0, C] on columns (see _check_exact_domain),
     # with C the largest cost the domain accepts at this size.  Each shape up to
     # 3x3 meets a column of demand 0 and a row of capacity 0, and each with
@@ -1064,6 +1119,81 @@ def test_top_of_domain_stays_exact_on_row_demand_zero_shapes(monkeypatch):
                 with pytest.raises(ValueError, match="overflow"):
                     solve_ga(inst(cost, *bounds))
             assert solved >= 25 and seen == want, (s, t, solved, seen)
+
+
+def test_top_of_domain_stays_exact_on_shapes_with_row_demand():
+    # Rows with demand: the column start sets the first labels and phase 1
+    # runs after it.  With C the largest cost the domain accepts at this
+    # size, every entry of r stays within K = (P + 1)*C after the start and
+    # after every augmentation (see _check_exact_domain), and the final
+    # duals certify the cost in Python integers.  Each shape up to 3x3
+    # meets a row search, and each with s, t >= 2 a row over its capacity
+    # that has demand.
+    rng = random.Random(0x70D3)
+    for s in (1, 2, 3):
+        for t in (1, 2, 3):
+            # A row over its capacity needs two columns to take it, and
+            # another row to serve what it drops.
+            want = {"row search"} | ({"over-capacity row with demand"} if s > 1 < t else set())
+            seen, solved = set(), 0
+            for _ in range(5000):
+                if solved >= 25 and seen == want:
+                    break
+                fixture = _draw_bounds(rng, s, t, 1)
+                if not any(fixture.a_demand) or _all_unit(fixture) or not feasibility_check(fixture)[0]:
+                    continue
+                bounds = fixture.a_demand, fixture.a_capacity, fixture.b_demand, fixture.b_capacity
+                demand = [*fixture.a_demand, *fixture.b_demand]
+                capacity = [*(min(c, t) for c in fixture.a_capacity), *(min(c, s) for c in fixture.b_capacity)]
+                pairs = min(sum(capacity[:s]), sum(capacity[s:]))
+                top = (INF - 1) // (2 * s * t * (pairs + s + t + 1))
+                cost = [[rng.choice((0, top, top, rng.randint(0, top))) for _ in range(t)] for _ in range(s)]
+                cost[rng.randrange(s)][rng.randrange(t)] = top
+                top_inst = inst(cost, *bounds)
+                states, widest = [], []
+
+                def watch(state):
+                    states[:] = [state]
+                    widest.append(int(np.abs(state.r).max()))
+
+                asg, rep = solve_ga(top_inst, observer=watch)
+                assert max(widest) <= (pairs + 1) * top, top_inst
+                r = [int(x) for x in states[0].r]
+                dual = sum(d * max(x, 0) - c * max(-x, 0) for d, c, x in zip(demand, capacity, r)) - sum(
+                    max(0, r[i] + r[s + j] - cost[i][j]) for i in range(s) for j in range(t)
+                )
+                assert asg.total_cost == rep.dual_objective == dual == brute_force_optimum(top_inst).total_cost, top_inst
+                solved += 1
+                seen |= {"row search"} if rep.phase1_augmentations else set()
+                over = _column_start_reference(top_inst)[4]
+                seen |= {"over-capacity row with demand"} if any(fixture.a_demand[i] for i in over) else set()
+                cost[0][0] = top + 1
+                with pytest.raises(ValueError, match="overflow"):
+                    solve_ga(inst(cost, *bounds))
+            assert solved >= 25 and seen == want, (s, t, solved, seen)
+
+
+def test_random_bounds_match_the_referees():
+    # The column start runs on every instance that is not all-unit, and
+    # the park budget is then recomputed from its matching (see
+    # _column_start).  Over random bounds, solve_ga must call an instance
+    # infeasible exactly when feasibility_check does, and price every other
+    # one as solve_flow_reference does.
+    rng = random.Random(0xB0D6)
+    feasible = infeasible = 0
+    for k in range(3000):
+        fixture = _draw_bounds(rng, rng.randint(1, 6), rng.randint(1, 6), (0, 2, 20, 10**6)[k % 4])
+        ok = feasibility_check(fixture)[0]
+        try:
+            asg, rep = solve_ga(fixture)
+        except InfeasibleInstanceError:
+            assert not ok, fixture
+            infeasible += 1
+            continue
+        assert ok, fixture
+        assert asg.total_cost == rep.dual_objective == solve_flow_reference(fixture).total_cost, fixture
+        feasible += 1
+    assert feasible >= 1000 and infeasible >= 1000, (feasible, infeasible)
 
 
 def test_row_demand_zero_instances_match_the_flow_reference():
@@ -1121,7 +1251,7 @@ def test_row_demand_zero_instances_match_highs():
     assert solved == 14
 
 
-def test_column_start_serves_only_row_demand_zero_instances(monkeypatch):
+def test_column_start_serves_every_instance_that_is_not_all_unit(monkeypatch):
     original = solver_module.grow_forest
     searches = []
 
@@ -1146,11 +1276,26 @@ def test_column_start_serves_only_row_demand_zero_instances(monkeypatch):
         assert len(seen) == len(searches) + (rep.warm_start_pairs > 0)
         started += rep.warm_start_pairs > 0
     assert started >= 30, started
-    # One row demand of 1: phase 1 runs, and no start places a pair.
+    # With row demand too: phase 1 searches from the rows the start left
+    # short, and the start's pairs count as phase-2 units.
+    row_units = 0
+    for _ in range(200):
+        fixture = draw_feasible(rng, max_s=9, max_t=9, cap_max=4)
+        if _all_unit(fixture) or not any(fixture.a_demand):
+            continue
+        searches.clear()
+        seen.clear()
+        _, rep = solve_ga(fixture, observer=seen.append)
+        sides = [side for side, _ in searches]
+        assert rep.phase1_augmentations == sides.count("a")
+        assert rep.phase2_augmentations == rep.warm_start_pairs + sides.count("b")
+        assert len(seen) == len(searches) + (rep.warm_start_pairs > 0)
+        row_units += sum(fixture.a_demand) - rep.phase1_augmentations
+    assert row_units >= 100, row_units
+    # One row demand of 1: the start meets it, and no search runs.
     searches.clear()
     _, rep = solve_ga(inst([[1, 2], [3, 1]], [1, 0], [2, 2], [1, 1], [1, 1]))
-    assert rep.warm_start_pairs == 0 and rep.phase1_augmentations == 1
-    assert len(searches) == rep.phase1_augmentations + rep.phase2_augmentations == 2
+    assert (rep.warm_start_pairs, rep.phase1_augmentations, rep.phase2_augmentations, len(searches)) == (2, 0, 2, 0)
 
 
 # A search finishes at the first finish tied at the distance it is
@@ -1267,9 +1412,12 @@ def test_rows_the_pool_feeds_relax_each_column_from_the_lowest_row_at_its_minimu
 
 
 def test_tie_heavy_instances_without_park_budget_settle_fed_rows_together(monkeypatch):
-    # Total row demand at most total column demand, so the pool never
-    # ends a row search and every pass-through feeds rows.  Costs up to
-    # 0, 1 or 2 tie the fed rows.  Some searches must settle two or more
+    # Total row demand at most total column demand keeps the park budget
+    # low: only the column start's pairs on row surplus copies raise it
+    # (see _column_start).  Where it is 0 the pool never ends a row search
+    # and every pass-through feeds rows.  The start places most units, so
+    # it takes 2,000 solves to see enough searches.  Costs up to 0, 1 or 2
+    # tie the fed rows.  Some searches must settle two or more
     # fed rows at one distance, and some must settle a fed row above the
     # finishing row at the finish's distance, which only the batch does.
     original = solver_module.grow_forest
@@ -1295,7 +1443,7 @@ def test_tie_heavy_instances_without_park_budget_settle_fed_rows_together(monkey
         state.check_dual_invariants()
         checked += 1
 
-    while solved < 400:
+    while solved < 2000:
         fixture = draw_feasible(rng, max_s=7, max_t=7, cost_max=solved % 3, cap_max=rng.randint(1, 4))
         if sum(fixture.a_demand) > sum(fixture.b_demand):
             continue
@@ -1338,7 +1486,7 @@ def test_tie_heavy_instances_match_the_flow_reference(monkeypatch):
         state.check_dual_invariants()
         checked += 1
 
-    for k in range(2100):
+    for k in range(4500):  # the column start places most units: more draws for as many searches
         fixture = draw_instance(rng, max_s=7, max_t=7, cost_max=k % 3, cap_max=rng.randint(1, 4))
         try:
             want = solve_flow_reference(fixture)

@@ -24,9 +24,10 @@ def load_spans():
 
 
 def test_traced_solve_records_every_solver_layer():
-    # One unit through phase 1 and one through phase 2.
+    # The column start places one pair; one unit goes through phase 1 and
+    # one through phase 2, each search settling at least one node.
     fixture = Instance.from_lists(
-        cost=[[2, 3]], a_demand=[1], a_capacity=[2], b_demand=[1, 1], b_capacity=[1, 1]
+        cost=[[2, 0, 0], [3, 1, 3]], a_demand=[0, 1], a_capacity=[1, 2], b_demand=[1, 1, 1], b_capacity=[1, 1, 2]
     )
     grow_forest = bmatch.solver.grow_forest
     tracer = load_spans().Tracer()
