@@ -85,13 +85,6 @@ INF = 2**62
 # so a relax through the lifted matrix pushes the pairs it may not use to
 # INF or above (see ``_check_exact_domain``).
 LIFT = 3 * 2**61
-# Sign of a search's dual shift by the side of its root (``apply_potentials``).
-_LABEL_SHIFT = {"a": 1, "b": -1}
-# Each pool step moves one unit on a vertex's surplus copy (``augment``).
-_POOL_STEPS = {
-    "feed": ("row", "fed", 1), "unfeed": ("row", "unfed", -1),
-    "park": ("column", "parked", 1), "release": ("column", "released", -1),
-}
 
 
 class InternalSolverError(RuntimeError):
@@ -132,10 +125,8 @@ class CapacitatedMatching:
             demand=demand, capacity=capacity, surplus=capacity - demand,
         )
 
-    def unmet(self, root: CopyRef) -> bool:
-        """Whether demand copy ``root``, ``("a", i)`` or ``("b", j)``, still
-        has a unit to place."""
-        v = root[1] + (root[0] == "b") * len(self.matched)
+    def unmet(self, v: int) -> bool:
+        """Whether node ``v``'s demand copy still has a unit to place."""
         return self.deg[v] - self.extra[v] < self.demand[v]
 
     def flip(self, i: int, j: int, d: int) -> None:
@@ -188,36 +179,62 @@ class AlternatingForest:
 
 @dataclass(frozen=True)
 class AugmentingPath:
-    """Ordered primal operations realizing one cheapest augmentation.
+    """One cheapest augmentation from demand copy ``root``, as the node
+    ids (rows 0..s-1, columns s..s+t-1, pool s+t) it passes in arc
+    direction: root -> leaf from a row, pool -> root from a column.
 
-    A path from ``grow_forest`` also carries its search's own arrays over
-    node ids (``dist``, ``parent``, ``settled``) and the ``terminal`` node
+    A path from ``grow_forest`` also carries ``s``, its search's own
+    arrays (``dist``, ``parent``, ``settled``) and the ``terminal`` node
     where it finished.  Nothing writes them after the search returns, so
-    ``apply_potentials`` reads ``dist`` directly, and ``forest``, built
-    from them on first read, has the same value read late as read at
-    once.  A hand-built path has no search and no forest.
+    ``apply_potentials`` reads ``dist`` directly, and ``steps`` and
+    ``forest``, built from them on first read, read the same late as at
+    once.  A hand-built path has neither view.
     """
 
-    root: CopyRef
-    leaf: CopyRef
-    steps: tuple[tuple, ...]  # ("match"|"unmatch", i, j) / ("park"|"release", j) / ("feed"|"unfeed", i)
-    finished_at_pool: bool
+    root: int
+    nodes: tuple[int, ...]
+    s: int = field(default=-1, repr=False, compare=False)
     dist: np.ndarray | None = field(default=None, repr=False, compare=False)
     parent: np.ndarray | None = field(default=None, repr=False, compare=False)
     settled: np.ndarray | None = field(default=None, repr=False, compare=False)
     terminal: int = field(default=-1, repr=False, compare=False)
 
+    @property
+    def finished_at_pool(self) -> bool:
+        """Whether the path ends in the pool, as only a row root's can."""
+        return self.nodes[-1] == len(self.dist) - 1
+
+    @cached_property
+    def steps(self) -> tuple[tuple, ...]:
+        """The arcs as primal operations: ``("match"|"unmatch", i, j)``,
+        ``("park"|"release", j)`` or ``("feed"|"unfeed", i)``."""
+        s, pool = self.s, len(self.dist) - 1
+        steps: list[tuple] = []
+        for u, v in zip(self.nodes, self.nodes[1:]):
+            if v == pool:
+                steps.append(("park", u - s) if u >= s else ("unfeed", u))
+            elif u == pool:
+                steps.append(("release", v - s) if v >= s else ("feed", v))
+            else:
+                steps.append(("match", u, v - s) if u < s else ("unmatch", v, u - s))
+        return tuple(steps)
+
     @cached_property
     def forest(self) -> AlternatingForest:
         return AlternatingForest(
-            root=self.root,
-            orientation="row" if self.root[0] == "a" else "col",
+            root=_copy_ref(self.root, self.s),
+            orientation="row" if self.root < self.s else "col",
             dist=tuple(self.dist.tolist()),
             parent=tuple(self.parent.tolist()),
             settled=tuple(self.settled.tolist()),
             terminal=self.terminal,
             terminal_dist=int(self.dist[self.terminal]),
         )
+
+
+def _copy_ref(v: int, s: int) -> CopyRef:
+    """Node ``v``'s demand copy, ``("a", i)`` or ``("b", j)``."""
+    return ("a", v) if v < s else ("b", v - s)
 
 
 @dataclass(frozen=True)
@@ -359,8 +376,8 @@ class SolverState:
 
     ``cand`` and ``unsettled`` are the search's scratch arrays over node
     ids: all INF and all True between searches, which reset them.
-    ``blocks`` holds their views of side X and side Y for each root
-    group ("a": rows then columns; "b": columns then rows).
+    ``blocks`` holds their views of side X and side Y, keyed by whether
+    the root is a row (rows then columns) or not (columns then rows).
     """
 
     mu = 0  # the pool's dual: ``r`` holds every vertex's relative to it
@@ -381,7 +398,7 @@ class SolverState:
         self.cand = np.full(s + t + 1, INF, dtype=np.int64)
         self.unsettled = np.ones(s + t + 1, dtype=bool)
         rows, cols = ((self.cand[b], self.unsettled[b]) for b in (slice(0, s), slice(s, s + t)))
-        self.blocks = {"a": (rows, cols), "b": (cols, rows)}
+        self.blocks = {True: (rows, cols), False: (cols, rows)}
 
     @property
     def graph(self) -> ExpandedGraph:
@@ -446,48 +463,24 @@ class SolverState:
         if cap <= 0:
             return
         d = np.minimum(path.dist, cap)
-        shift = (d - d[-1]) * _LABEL_SHIFT[path.root[0]]
+        shift = d - d[-1] if path.root < self.s else d[-1] - d
         self.r[: self.s] -= shift[: self.s]
         self.r[self.s :] += shift[self.s : -1]
         self.dual_updates += 1
 
 
-def _walk(parent: np.ndarray, terminal: int, s: int, t: int, forward: bool) -> tuple[tuple, ...]:
-    """Primal operations of the path that ``parent`` leads back from
-    ``terminal`` to the root, in one walk of the pointers.
-
-    Each pointer is one residual arc u->v: from the parent on a row
-    root's search, into it on a column root's, which ran on the reversed
-    graph.  The steps come out in arc direction: root -> leaf forward,
-    pool -> root backward.
-    """
-    pool = s + t
-    steps: list[tuple] = []
-    w = terminal
-    while (p := int(parent[w])) >= 0:
-        if len(steps) == len(parent) - 1:
+def _chain(parent: np.ndarray, terminal: int) -> list[int]:
+    """Node ids from ``terminal`` back to the root along ``parent``."""
+    nodes = [terminal]
+    while (p := int(parent[nodes[-1]])) >= 0:
+        if len(nodes) == len(parent):
             raise InternalSolverError("parent pointers form a cycle")
-        u, v = (p, w) if forward else (w, p)
-        if u < s and s <= v < pool:
-            steps.append(("match", u, v - s))
-        elif s <= u < pool and v < s:
-            steps.append(("unmatch", v, u - s))
-        elif s <= u < pool and v == pool:
-            steps.append(("park", u - s))
-        elif u == pool and s <= v < pool:
-            steps.append(("release", v - s))
-        elif u == pool and v < s:
-            steps.append(("feed", v))
-        elif u < s and v == pool:
-            steps.append(("unfeed", u))
-        else:
-            raise InternalSolverError(f"impossible arc {u}->{v} in augmenting path")
-        w = p
-    return tuple(steps[::-1] if forward else steps)
+        nodes.append(p)
+    return nodes
 
 
-def grow_forest(state: SolverState, root: CopyRef) -> AugmentingPath:
-    """Find a cheapest augmenting path from a free demand copy.
+def grow_forest(state: SolverState, root: int) -> AugmentingPath:
+    """Find a cheapest augmenting path from node ``root``'s free demand copy.
 
     Row roots (phase 1) search forward toward a column that still needs
     partners, spare column capacity, or a returnable optional row match;
@@ -514,18 +507,16 @@ def grow_forest(state: SolverState, root: CopyRef) -> AugmentingPath:
     the lifted cost matrix, where every pair a relax may not use comes
     out at INF or above, so no relax needs a mask of ``matched``.
     """
-    if root[0] not in ("a", "b"):
-        raise ValueError(f"roots must be demand copies, got {root!r}")
-    m = state.matching
-    if not m.unmet(root):
-        raise ValueError(f"root {root!r} is not a free demand copy")
-    forward = root[0] == "a"
     s, t = state.s, state.t
     pool = s + t
-    if forward:
-        g, x0, y0, other = m.lifted, 0, s, "b"
-    else:
-        g, x0, y0, other = m.lifted.T, s, 0, "a"
+    if not 0 <= root < pool:
+        raise ValueError(f"roots must be demand copies of rows or columns, got node {root!r}")
+    ref = _copy_ref(root, s)
+    m = state.matching
+    if not m.unmet(root):
+        raise ValueError(f"root {ref!r} is not a free demand copy")
+    forward = root < s
+    g, x0, y0 = (m.lifted, 0, s) if forward else (m.lifted.T, s, 0)
     nx, ny = g.shape
     side_x, side_y = slice(x0, x0 + nx), slice(y0, y0 + ny)
     rx, ry = state.r[side_x], state.r[side_y]
@@ -544,16 +535,14 @@ def grow_forest(state: SolverState, root: CopyRef) -> AugmentingPath:
     # settles and the tentative ones at the end.  Relaxing writes through
     # each block's views.
     cand, unsettled = state.cand, state.unsettled
-    (cand_x, live_x), (cand_y, live_y) = state.blocks[root[0]]
+    (cand_x, live_x), (cand_y, live_y) = state.blocks[forward]
     dist = np.empty(pool + 1, dtype=np.int64)
     parent = np.full(pool + 1, -1, dtype=np.int64)
     on_x = (cand_x, parent[x0 : x0 + nx], live_x)
     on_y = (cand_y, parent[y0 : y0 + ny], live_y)
     settles = 0
     level = -1  # dv of the last settle if it may have put a finish at dv
-
-    def over_cap() -> InternalSolverError:
-        return InternalSolverError(f"search from {root!r} settled more than its {pool + 1} nodes")
+    over_cap = f"search from {ref!r} settled more than its {pool + 1} nodes"
 
     def relax(views: tuple, nd: np.ndarray, v: int | np.ndarray) -> None:
         cd, par, live = views
@@ -567,13 +556,13 @@ def grow_forest(state: SolverState, root: CopyRef) -> AugmentingPath:
             cand[pool] = nd
             parent[pool] = v
 
-    cand[x0 + root[1]] = 0
+    cand[root] = 0
     try:
         while True:
             v = int(cand.argmin())
             dv = int(cand[v])
             if dv >= INF:
-                raise _stuck(state, root, ~unsettled)
+                raise _stuck(state, ref, ~unsettled)
             if dv == level:
                 # The pick ties the settle just done, which may have put a
                 # finish at dv: if so, that finish settles instead and ends
@@ -592,7 +581,7 @@ def grow_forest(state: SolverState, root: CopyRef) -> AugmentingPath:
                     xs = np.flatnonzero(cand_x == dv)
                     settles += xs.size
                     if settles > pool + 1:
-                        raise over_cap()
+                        raise InternalSolverError(over_cap)
                     ids = x0 + xs
                     dist[ids] = dv
                     cand[ids] = INF
@@ -614,7 +603,7 @@ def grow_forest(state: SolverState, root: CopyRef) -> AugmentingPath:
                     v = y0 + int(short[k])
                     parent[v] = ids[tight[:, k].argmax()]
             if settles > pool:
-                raise over_cap()
+                raise InternalSolverError(over_cap)
             settles += 1
             dist[v] = dv
             cand[v] = INF
@@ -652,18 +641,12 @@ def grow_forest(state: SolverState, root: CopyRef) -> AugmentingPath:
         cand.fill(INF)
         unsettled.fill(True)
 
-    if v == pool:
-        u = int(parent[pool])  # a spare slot on side Y or an optional match on side X
-        leaf: CopyRef = (other + "'", u - y0) if y0 <= u < y0 + ny else (root[0] + "'", u - x0)
-    else:
-        leaf = (other, v - y0)
-
+    # The pointers lead back from the terminal: along the arcs on a column
+    # root's reversed search, against them on a row root's.
+    nodes = _chain(parent, v)
     return AugmentingPath(
-        root=root,
-        leaf=leaf,
-        steps=_walk(parent, v, s, t, forward),
-        finished_at_pool=forward and v == pool,
-        dist=dist, parent=parent, settled=settled, terminal=v,
+        root=root, nodes=tuple(nodes[::-1] if forward else nodes),
+        s=s, dist=dist, parent=parent, settled=settled, terminal=v,
     )
 
 
@@ -685,51 +668,52 @@ def _stuck(state: SolverState, root: CopyRef, settled: np.ndarray) -> Infeasible
 def augment(m: CapacitatedMatching, path: AugmentingPath) -> CapacitatedMatching:
     """Apply one augmenting path to the matching, in place.
 
-    Swaps matched and unmatched pairs along the path, keeping ``lifted``
-    in step, and updates every copy counter; a malformed path (double
-    match, counter out of range) raises ``InternalSolverError``.  Plain
-    alternating paths add exactly one pair; pool-passing paths add one
-    pair per pool transit as well.
+    Reads each arc (u, v) by its node-id ranges: row -> column matches the
+    pair and column -> row unmatches it, keeping ``lifted`` in step; a
+    pool arc moves ``extra`` at its other end, up on a feed (pool -> row)
+    or a park (column -> pool), down on an unfeed or a release.  A
+    malformed path (double match, counter out of range, any other arc)
+    raises ``InternalSolverError``.  Plain alternating paths add exactly
+    one pair; pool-passing paths add one pair per pool transit as well.
 
     A path may take a vertex over its capacity midway and back by its
-    end, so capacities are checked once the steps are done, at the
-    vertices a match step raised: only there can a degree have grown.
-    The root's demand copy, which no pool step counts, is checked last.
+    end, so capacities are checked once the arcs are done, at the
+    vertices a match raised: only there can a degree have grown.  The
+    root's demand copy, which no pool arc counts, is checked last.
     """
-    s = len(m.matched)
-    raised: list[tuple[int, int]] = []
-    for op in path.steps:
-        kind = op[0]
-        if kind == "match":
-            _, i, j = op
-            if m.matched[i, j]:
-                raise InternalSolverError(f"path matches already-matched pair ({i}, {j})")
-            m.flip(i, j, 1)
-            raised.append((i, j))
-        elif kind == "unmatch":
-            _, i, j = op
-            if not m.matched[i, j]:
-                raise InternalSolverError(f"path unmatches unmatched pair ({i}, {j})")
-            m.flip(i, j, -1)
-        elif kind in _POOL_STEPS:
-            name, done, d = _POOL_STEPS[kind]
-            k = op[1]
-            v = k + (name == "column") * s
-            if m.extra[v] + d < 0:
-                raise InternalSolverError(f"{name} {k} {done} below zero")
-            m.extra[v] += d
-            if m.extra[v] > m.surplus[v]:
-                raise InternalSolverError(f"{name} {k} {done} above its surplus quota")
+    s, pool = len(m.matched), len(m.deg)
+    raised: list[int] = []
+    for u, v in zip(path.nodes, path.nodes[1:]):
+        if u < s <= v < pool:
+            if m.matched[u, v - s]:
+                raise InternalSolverError(f"path matches already-matched pair ({u}, {v - s})")
+            m.flip(u, v - s, 1)
+            raised += (u, v)
+        elif v < s <= u < pool:
+            if not m.matched[v, u - s]:
+                raise InternalSolverError(f"path unmatches unmatched pair ({v}, {u - s})")
+            m.flip(v, u - s, -1)
+        elif (u == pool) != (v == pool):
+            w = u + v - pool
+            d = 1 if (u == pool) == (w < s) else -1
+            m.extra[w] += d
+            if not 0 <= m.extra[w] <= m.surplus[w]:
+                done = ("fed", "unfed") if w < s else ("parked", "released")
+                fault = "below zero" if m.extra[w] < 0 else "above its surplus quota"
+                raise InternalSolverError(f"{_vertex(w, s)} {done[d < 0]} {fault}")
         else:
-            raise InternalSolverError(f"unknown path step {op!r}")
-    for i, j in raised:
-        if m.deg[i] > m.capacity[i] or m.deg[s + j] > m.capacity[s + j]:
-            raise InternalSolverError("augmentation exceeded a capacity")
-    side, k = path.root
-    v = k + (side == "b") * s
+            raise InternalSolverError(f"impossible arc {u}->{v} in augmenting path")
+    if any(m.deg[w] > m.capacity[w] for w in raised):
+        raise InternalSolverError("augmentation exceeded a capacity")
+    v = path.root
     if m.deg[v] - m.extra[v] > m.demand[v]:
-        raise InternalSolverError(f"{'row' if side == 'a' else 'column'} {k} routed above its demand quota")
+        raise InternalSolverError(f"{_vertex(v, s)} routed above its demand quota")
     return m
+
+
+def _vertex(v: int, s: int) -> str:
+    """Node ``v`` by side and index, as fault messages name it."""
+    return f"row {v}" if v < s else f"column {v - s}"
 
 
 def _warm_start(state: SolverState) -> int:
@@ -939,23 +923,24 @@ def _solve(
     state: SolverState, algorithm: str, observer: Callable[[SolverState], None] | None, t0: float
 ) -> tuple[Assignment, SolveReport]:
     m = state.matching
-    warm = 0
-    placed = {"a": 0, "b": 0}  # units placed from row roots (phase 1) and column roots (phase 2)
+    placed = [0, 0]  # units placed from row roots (phase 1) and column roots (phase 2)
     if np.all(m.demand == 1) and np.all(m.capacity == 1):
-        warm = placed["a"] = _warm_start(state)
+        warm = placed[0] = _warm_start(state)
     else:
-        warm = placed["b"] = _column_start(state)
+        warm = placed[1] = _column_start(state)
     if warm and observer is not None:
         observer(state)
 
     # Phase 1 roots at the rows in index order, then phase 2 at the columns.
-    for root in [*(("a", i) for i in range(state.s)), *(("b", j) for j in range(state.t))]:
+    # Only a path's two ends raise a demand count, and nothing lowers one,
+    # so every root is short of demand once the start is done.
+    for root in np.flatnonzero(m.deg - m.extra < m.demand).tolist():
         while m.unmet(root):
             path = grow_forest(state, root)
             state.park_budget -= path.finished_at_pool
             augment(m, path)
             state.apply_potentials(path)
-            placed[root[0]] += 1
+            placed[root >= state.s] += 1
             if observer is not None:
                 observer(state)
 
@@ -974,8 +959,8 @@ def _solve(
 
     report = SolveReport(
         algorithm=algorithm,
-        phase1_augmentations=placed["a"],
-        phase2_augmentations=placed["b"],
+        phase1_augmentations=placed[0],
+        phase2_augmentations=placed[1],
         dual_updates=state.dual_updates,
         dual_objective=dual,
         pruned_pairs=pruned,

@@ -35,6 +35,17 @@ def inst(c, ad, ac, bd, bc):
     return Instance.from_lists(cost=c, a_demand=ad, a_capacity=ac, b_demand=bd, b_capacity=bc)
 
 
+def _leaf(path):
+    """The copy where a search's path ends, as ``(side, index)``: the short
+    column ``("b", j)`` it finished at, or, on a pool finish, the surplus
+    copy ``("a'", i)`` or ``("b'", j)`` next to the pool."""
+    s, pool = path.s, len(path.dist) - 1
+    if path.terminal != pool:
+        return ("b", path.terminal - s)
+    u = int(path.parent[pool])
+    return ("a'", u) if u < s else ("b'", u - s)
+
+
 class TestWorkedExamples:
     def test_forced_row_takes_both_columns(self):
         asg, rep = solve_ga(inst([[5, 7]], [2], [2], [0, 0], [1, 1]))
@@ -166,119 +177,55 @@ class TestSearchPrimitives:
         assert la == (weights_row_max,)
         assert lb == (0, 0)
 
+    # Node ids on this 1x2 instance: row 0, columns 1 and 2, pool 3.
     def test_single_edge_path_when_adjacent_column_is_free(self):
         st = self.state()
-        path = grow_forest(st, ("a", 0))
+        path = grow_forest(st, 0)
+        assert (path.root, path.nodes) == (0, (0, 1))
         assert path.steps == (("match", 0, 0),)
-        assert path.leaf == ("b", 0)
+        assert _leaf(path) == ("b", 0) and not path.finished_at_pool
         assert path.forest.terminal_dist == 0
 
     def test_grow_rejects_saturated_root(self):
         st = self.state()
-        path = grow_forest(st, ("a", 0))
+        path = grow_forest(st, 0)
         augment(st.matching, path)
+        with pytest.raises(ValueError, match=r"^root \('a', 0\) is not a free demand copy$"):
+            grow_forest(st, 0)
         with pytest.raises(ValueError, match="free demand copy"):
-            grow_forest(st, ("a", 0))
-        with pytest.raises(ValueError, match="free demand copy"):
-            grow_forest(st, ("b", 0))  # its demand of 1 is met by (0, 0)
-        with pytest.raises(ValueError, match="free demand copy"):
-            grow_forest(SolverState(inst([[2, 3]], [1], [2], [1, 0], [1, 1])), ("b", 1))  # demand 0
+            grow_forest(st, 1)  # column 0: its demand of 1 is met by (0, 0)
+        with pytest.raises(ValueError, match=r"^root \('b', 1\) is not a free demand copy$"):
+            grow_forest(SolverState(inst([[2, 3]], [1], [2], [1, 0], [1, 1])), 2)  # demand 0
 
-    def test_grow_rejects_surplus_root(self):
-        with pytest.raises(ValueError, match="demand cop"):
-            grow_forest(self.state(), ("a'", 0))
+    def test_grow_rejects_a_node_that_is_not_a_row_or_column(self):
+        for node in (-1, 3):  # 3 is the pool
+            with pytest.raises(ValueError, match="demand cop"):
+                grow_forest(self.state(), node)
 
     def test_column_phase_enters_through_row_surplus(self):
         st = self.state()
-        augment(st.matching, grow_forest(st, ("a", 0)))
-        path = grow_forest(st, ("b", 1))
-        assert path.leaf == ("a'", 0)
-        assert ("match", 0, 1) in path.steps
+        augment(st.matching, grow_forest(st, 0))
+        path = grow_forest(st, 2)
+        assert (path.root, path.nodes) == (2, (3, 0, 2))  # pool -> row 0 -> column 1
+        assert _leaf(path) == ("a'", 0) and not path.finished_at_pool
+        assert path.steps == (("feed", 0), ("match", 0, 1))
         assert path.forest.orientation == "col"
 
     def test_forest_records_the_search(self):
         st = self.state()
-        path = grow_forest(st, ("a", 0))
+        path = grow_forest(st, 0)
         f = path.forest
         assert len(f.dist) == len(f.parent) == len(f.settled) == 1 + 2 + 1  # rows, columns, pool
         assert f.settled[0] and f.dist[0] == 0  # the root row
         assert f.terminal == 1 and f.parent[1] == 0  # b0, reached from a0
 
-    def test_augment_applies_steps_and_counters(self):
+    def test_augment_applies_the_path_and_counters(self):
         st = self.state()
-        path = grow_forest(st, ("a", 0))
+        path = grow_forest(st, 0)
         augment(st.matching, path)
         m = st.matching
         assert m.pairs == ((0, 0),)
         assert list(m.deg - m.extra) == [1, 1, 0] and list(m.extra) == [0, 0, 0]
-
-    def test_augment_rejects_double_match(self):
-        st = self.state()
-        path = grow_forest(st, ("a", 0))
-        augment(st.matching, path)
-        with pytest.raises(InternalSolverError, match="already-matched"):
-            augment(st.matching, AugmentingPath(
-                root=("a", 0), leaf=("b", 0), steps=(("match", 0, 0),), finished_at_pool=False,
-            ))
-
-    def test_augment_rejects_bogus_unmatch(self):
-        st = self.state()
-        with pytest.raises(InternalSolverError, match="unmatches"):
-            augment(st.matching, AugmentingPath(
-                root=("a", 0), leaf=("b", 0), steps=(("unmatch", 0, 0),), finished_at_pool=False,
-            ))
-
-    def hand_path(self, st, root, steps):
-        return AugmentingPath(root=root, leaf=("b", 0), steps=steps, finished_at_pool=False)
-
-    def test_augment_rejects_park_above_surplus_quota(self):
-        st = self.state()  # every column has capacity == demand: no surplus slot
-        with pytest.raises(InternalSolverError, match="parked above its surplus quota"):
-            augment(st.matching, self.hand_path(st, ("a", 0), (("park", 0),)))
-
-    def test_augment_rejects_feed_above_surplus_quota(self):
-        st = self.state()  # row 0 demands 1 and may take 2: one surplus slot
-        with pytest.raises(InternalSolverError, match="^row 0 fed above its surplus quota$"):
-            augment(st.matching, self.hand_path(st, ("b", 0), (("feed", 0), ("feed", 0))))
-
-    def test_augment_rejects_unfeed_below_zero(self):
-        st = self.state()
-        with pytest.raises(InternalSolverError, match="^row 0 unfed below zero$"):
-            augment(st.matching, self.hand_path(st, ("b", 0), (("unfeed", 0),)))
-
-    def test_augment_rejects_column_routing_above_demand(self):
-        st = SolverState(inst([[2, 3]], [1], [2], [1, 0], [1, 1]))  # column 1 demands 0
-        with pytest.raises(InternalSolverError, match="^column 1 routed above its demand quota$"):
-            augment(st.matching, self.hand_path(st, ("b", 1), (("match", 0, 1),)))
-
-    def test_augment_rejects_release_below_zero(self):
-        st = self.state()
-        with pytest.raises(InternalSolverError, match="released below zero"):
-            augment(st.matching, self.hand_path(st, ("a", 0), (("release", 1),)))
-
-    def test_augment_rejects_routing_above_demand(self):
-        st = self.state()  # row 0 demands 1 and may take 2
-        augment(st.matching, grow_forest(st, ("a", 0)))
-        with pytest.raises(InternalSolverError, match="routed above its demand quota"):
-            augment(st.matching, self.hand_path(st, ("a", 0), (("match", 0, 1),)))
-
-    def test_augment_rejects_exceeding_a_capacity(self):
-        st = SolverState(inst([[2, 3]], [1], [1], [0, 0], [1, 1]))
-        steps = (("match", 0, 0), ("match", 0, 1))  # row 0 may take only 1
-        with pytest.raises(InternalSolverError, match="exceeded a capacity"):
-            augment(st.matching, self.hand_path(st, ("b", 0), steps))
-
-    def test_augment_accepts_a_capacity_overshoot_that_the_path_undoes(self):
-        # Column 0 (capacity 1) holds row 1.  A path from row 0 matches
-        # (0, 0) before it unmatches (1, 0), so column 0 sits one above
-        # its capacity midway and back within it at the end.
-        st = SolverState(inst([[1], [2]], [1, 0], [1, 1], [1], [1]))
-        m = st.matching
-        augment(m, self.hand_path(st, ("b", 0), (("match", 1, 0),)))
-        augment(m, self.hand_path(st, ("a", 0), (("match", 0, 0), ("unmatch", 1, 0))))
-        assert m.pairs == ((0, 0),)
-        assert list(m.deg) == [1, 0, 1]
-        assert np.array_equal(m.lifted, m.cost + LIFT * m.matched)
 
     def test_forest_and_steps_are_plain_python_values(self):
         # Trace consumers sum and serialize these fields; numpy scalars
@@ -289,14 +236,14 @@ class TestSearchPrimitives:
             return type(x) in (int, bool, str)
 
         st = self.state()
-        row = grow_forest(st, ("a", 0))
+        row = grow_forest(st, 0)
         augment(st.matching, row)
-        col = grow_forest(st, ("b", 1))
+        col = grow_forest(st, 2)
         for path in (row, col):
             f = path.forest
             for field in dataclasses.fields(f):
                 assert plain(getattr(f, field.name)), field.name
-            assert plain(path.steps) and plain(path.leaf)
+            assert plain(path.steps) and plain(path.nodes) and plain(path.root)
             assert json.loads(json.dumps(sum(f.settled))) == sum(f.settled)
         assert (row.forest.orientation, col.forest.orientation) == ("row", "col")
 
@@ -374,10 +321,69 @@ def test_end_of_solve_checks_raise(message, monkeypatch):
         solve_ga(fixture)
 
 
-def test_walk_refuses_an_impossible_arc():
-    # Rows 0 and 1 of a 2x1 instance: no residual arc joins two rows.
-    with pytest.raises(InternalSolverError, match=r"^impossible arc 1->0 in augmenting path$"):
-        solver_module._walk(np.array([1, -1, -1, -1]), 0, 2, 1, True)
+# Hand-built node chains through augment.  Each case holds an instance,
+# the (chain, root) paths applied first, and the (chain, root) path under
+# test, a chain being node ids in arc direction.  SURPLUS has rows 0 and
+# 1, columns 2 and 3 and pool 4, with one surplus slot at every vertex.
+# ONE_BY_TWO has row 0, columns 1 and 2 and pool 3: row 0 has a surplus
+# slot and the columns none.  TWO_BY_ONE has rows 0 and 1, column 2 of
+# capacity 1, and pool 3.
+SURPLUS = inst([[2, 3], [4, 5]], [1, 1], [2, 2], [1, 1], [2, 2])
+ONE_BY_TWO = inst([[2, 3]], [1], [2], [1, 1], [1, 1])
+TWO_BY_ONE = inst([[1], [2]], [1, 0], [1, 1], [1], [1])
+
+# Each arc kind, with the pairs, degrees and surplus counts it leaves.
+ARC_CHAINS = {
+    "match": (SURPLUS, [], ((0, 2), 0), ((0, 0),), [1, 0, 1, 0], [0, 0, 0, 0]),
+    "unmatch": (SURPLUS, [((0, 2), 0)], ((1, 2, 0), 1), ((1, 0),), [0, 1, 1, 0], [0, 0, 0, 0]),
+    "park": (SURPLUS, [], ((0, 2, 4), 0), ((0, 0),), [1, 0, 1, 0], [0, 0, 1, 0]),
+    "release": (SURPLUS, [((0, 2, 4), 0)], ((4, 2, 0, 3), 3), ((0, 1),), [1, 0, 0, 1], [0, 0, 0, 0]),
+    "feed": (SURPLUS, [], ((4, 1, 3), 3), ((1, 1),), [0, 1, 0, 1], [0, 1, 0, 0]),
+    "unfeed": (SURPLUS, [((4, 1, 3), 3)], ((0, 3, 1, 4), 0), ((0, 1),), [1, 0, 0, 1], [0, 0, 0, 0]),
+    # Column 2 holds row 1; the path matches (0, 0) before it unmatches
+    # (1, 0), so column 2 sits one above its capacity midway.
+    "overshoot the path undoes": (TWO_BY_ONE, [((1, 2), 2)], ((0, 2, 1), 0), ((0, 0),), [1, 0, 1], [0, 0, 0]),
+}
+
+ARC_FAULTS = {
+    r"path matches already-matched pair \(0, 0\)": (ONE_BY_TWO, [((0, 1), 0)], ((0, 1), 0)),
+    r"path unmatches unmatched pair \(0, 0\)": (ONE_BY_TWO, [], ((1, 0), 0)),
+    "column 0 parked above its surplus quota": (ONE_BY_TWO, [], ((0, 1, 3), 0)),
+    "row 0 fed above its surplus quota": (inst([[2, 3]], [1], [1], [0, 0], [1, 1]), [], ((3, 0, 1), 1)),
+    "row 0 unfed below zero": (ONE_BY_TWO, [], ((0, 3), 0)),
+    "column 1 released below zero": (ONE_BY_TWO, [], ((3, 2), 2)),
+    "impossible arc 1->0 in augmenting path": (TWO_BY_ONE, [], ((1, 0), 0)),  # row -> row
+    "impossible arc 1->2 in augmenting path": (ONE_BY_TWO, [], ((0, 1, 2), 0)),  # column -> column
+    "impossible arc 3->3 in augmenting path": (ONE_BY_TWO, [], ((3, 3), 1)),  # pool -> pool
+    "row 0 routed above its demand quota": (ONE_BY_TWO, [((0, 1), 0)], ((0, 2), 0)),
+    "column 1 routed above its demand quota": (inst([[2, 3]], [1], [2], [1, 0], [1, 1]), [], ((0, 2), 2)),
+    # Column 2 holds row 1 and takes row 0 too, with nothing undoing it.
+    "augmentation exceeded a capacity": (TWO_BY_ONE, [((1, 2), 2)], ((0, 2), 0)),
+}
+
+
+def _chained(fixture, before):
+    """The matching of ``fixture`` after the (chain, root) paths ``before``."""
+    m = SolverState(fixture).matching
+    for chain, root in before:
+        augment(m, AugmentingPath(root=root, nodes=chain))
+    return m
+
+
+@pytest.mark.parametrize("kind", ARC_CHAINS)
+def test_augment_applies_each_arc_kind(kind):
+    fixture, before, path, pairs, deg, extra = ARC_CHAINS[kind]
+    m = _chained(fixture, [*before, path])
+    assert (m.pairs, m.deg.tolist(), m.extra.tolist()) == (pairs, deg, extra)
+    assert np.array_equal(m.lifted, m.cost + LIFT * m.matched)
+
+
+@pytest.mark.parametrize("message", ARC_FAULTS)
+def test_augment_names_each_fault(message):
+    fixture, before, (chain, root) = ARC_FAULTS[message]
+    m = _chained(fixture, before)
+    with pytest.raises(InternalSolverError, match=f"^{message}$"):
+        augment(m, AugmentingPath(root=root, nodes=chain))
 
 
 def test_solves_build_no_expanded_graph(monkeypatch, rng):
@@ -424,7 +430,7 @@ def test_search_arrays_are_reset_after_every_search(monkeypatch):
             raise
         finally:
             assert np.all(state.cand == INF) and state.unsettled.all(), root
-            seen.add(root[0])
+            seen.add("row" if root < state.s else "col")
 
     monkeypatch.setattr(solver_module, "grow_forest", checked)
     rng = random.Random(0x5C4A7C)
@@ -436,7 +442,7 @@ def test_search_arrays_are_reset_after_every_search(monkeypatch):
             solve_ga(fixture)
         except ValueError:  # InfeasibleInstanceError included
             pass
-    assert seen == {"a", "b", "stuck"}
+    assert seen == {"row", "col", "stuck"}
 
 
 def test_search_after_another_equals_search_on_fresh_state():
@@ -447,15 +453,14 @@ def test_search_after_another_equals_search_on_fresh_state():
             path = grow_forest(state, root)
         except InfeasibleInstanceError as err:
             return ("stuck", err.root, err.reached)
-        return (path.forest, path.steps, path.leaf)
+        return (path.forest, path.nodes, path.steps, _leaf(path))
 
     rng = random.Random(0xF7E5)
     firsts = set()
     for _ in range(40):
         fixture = draw_feasible(rng, max_s=4, max_t=4, cap_max=3)
         state = SolverState(fixture)
-        roots = [("a", i) for i in range(fixture.s) if fixture.a_demand[i]]
-        roots += [("b", j) for j in range(fixture.t) if fixture.b_demand[j]]
+        roots = [v for v, d in enumerate((*fixture.a_demand, *fixture.b_demand)) if d]
         for first in roots:
             for then in roots:
                 if then != first:
@@ -485,7 +490,7 @@ def test_search_with_a_settled_node_back_in_cand_raises():
         with pytest.raises(InternalSolverError, match=f"settled more than its {nodes} nodes"):
             solver_module._solve(state, "ga", None, 0.0)
     with pytest.raises(InternalSolverError, match="cycle"):
-        solver_module._walk(np.array([1, 2, 0]), 0, 1, 1, True)
+        solver_module._chain(np.array([1, 2, 0]), 0)
 
 
 def test_lifted_matrix_follows_every_pair_flip(rng):
@@ -653,16 +658,15 @@ def test_searches_are_pinned(monkeypatch):
             raise
         f = path.forest
         pool = state.s + state.t
-        root_id = root[1] if root[0] == "a" else state.s + root[1]
         for v, done in enumerate(f.settled):
-            if done and v != root_id:
+            if done and v != root:
                 assert f.parent[v] >= 0 and f.settled[f.parent[v]], (root, v)
         seen.add(f.orientation)
         if path.finished_at_pool:
             seen.add("pool finish")
         if f.settled[pool] and f.terminal != pool:
             seen.add("pool pass-through")  # the pool did not end it: no park budget left
-        records[bucket].append([dataclasses.asdict(f), [list(op) for op in path.steps], list(path.leaf)])
+        records[bucket].append([dataclasses.asdict(f), [list(op) for op in path.steps], list(_leaf(path))])
         return path
 
     monkeypatch.setattr(solver_module, "grow_forest", recording)
@@ -1043,7 +1047,7 @@ def test_surplus_counts_balance_the_pool(monkeypatch):
         return placed
 
     def counting(state, root):
-        roots.append(root[0])
+        roots.append(root >= state.s)  # a column root
         return original_grow(state, root)
 
     monkeypatch.setattr(solver_module, "_set_start", starting)
@@ -1063,7 +1067,7 @@ def test_surplus_counts_balance_the_pool(monkeypatch):
         m, s = st.matching, st.s
         (budget, fed), = starts
         into_pool = int(m.extra[s:].sum()) - int(m.extra[:s].sum())
-        assert into_pool == budget - st.park_budget - roots.count("b") - fed, fixture
+        assert into_pool == budget - st.park_budget - sum(roots) - fed, fixture
         checked += 1
         fed_at_start += fed > 0
     assert checked >= 2000 and fed_at_start >= 500, (checked, fed_at_start)
@@ -1256,7 +1260,7 @@ def test_column_start_serves_every_instance_that_is_not_all_unit(monkeypatch):
     searches = []
 
     def counting(state, root):
-        searches.append(root)
+        searches.append("a" if root < state.s else "b")
         return original(state, root)
 
     monkeypatch.setattr(solver_module, "grow_forest", counting)
@@ -1286,9 +1290,8 @@ def test_column_start_serves_every_instance_that_is_not_all_unit(monkeypatch):
         searches.clear()
         seen.clear()
         _, rep = solve_ga(fixture, observer=seen.append)
-        sides = [side for side, _ in searches]
-        assert rep.phase1_augmentations == sides.count("a")
-        assert rep.phase2_augmentations == rep.warm_start_pairs + sides.count("b")
+        assert rep.phase1_augmentations == searches.count("a")
+        assert rep.phase2_augmentations == rep.warm_start_pairs + searches.count("b")
         assert len(seen) == len(searches) + (rep.warm_start_pairs > 0)
         row_units += sum(fixture.a_demand) - rep.phase1_augmentations
     assert row_units >= 100, row_units
@@ -1298,13 +1301,54 @@ def test_column_start_serves_every_instance_that_is_not_all_unit(monkeypatch):
     assert (rep.warm_start_pairs, rep.phase1_augmentations, rep.phase2_augmentations, len(searches)) == (2, 0, 2, 0)
 
 
+def test_phase_loop_visits_only_the_vertices_short_after_the_start(monkeypatch, rng):
+    # Only a path's two ends raise a demand count and nothing lowers one,
+    # so the phase loop asks unmet once per search and once more per
+    # vertex the start left short, not once per vertex.  grow_forest's own
+    # check of its root is not counted.
+    original_unmet = solver_module.CapacitatedMatching.unmet
+    original_grow, original_start = solver_module.grow_forest, solver_module._set_start
+    counts, searching = {"unmet": 0, "searches": 0, "short": 0}, []
+
+    def unmet(m, v):
+        counts["unmet"] += not searching
+        return original_unmet(m, v)
+
+    def growing(state, root):
+        counts["searches"] += 1
+        searching.append(root)
+        try:
+            return original_grow(state, root)
+        finally:
+            searching.pop()
+
+    def starting(state, *args):
+        placed = original_start(state, *args)
+        m = state.matching
+        counts["short"] += int((m.deg - m.extra < m.demand).sum())
+        return placed
+
+    monkeypatch.setattr(solver_module.CapacitatedMatching, "unmet", unmet)
+    monkeypatch.setattr(solver_module, "grow_forest", growing)
+    monkeypatch.setattr(solver_module, "_set_start", starting)
+    fixtures = [draw_feasible(rng, max_s=9, max_t=9, cap_max=4) for _ in range(60)]
+    fixtures += [draw_unit(rng, n) for n in (5, 12)]
+    searched = 0
+    for fixture in fixtures:
+        counts.update(unmet=0, searches=0, short=0)
+        solve_ga(fixture)
+        assert counts["unmet"] <= counts["searches"] + counts["short"], (fixture, counts)
+        searched += counts["searches"]
+    assert searched >= 100, searched
+
+
 # A search finishes at the first finish tied at the distance it is
 # settling, instead of settling every lower-id node at that distance
 # first.  Each hand-built case below pins the search's terminal and the
 # number of nodes it settled.
 def _searched(fixture, roots):
-    """Route one unit from each root in turn, as a solve does; return the
-    last path."""
+    """Route one unit from each root, a node id, in turn, as a solve does;
+    return the last path."""
     state = SolverState(fixture)
     for root in roots:
         path = grow_forest(state, root)
@@ -1319,10 +1363,11 @@ def test_row_search_finishes_at_a_short_column_tied_with_its_root():
     # ties by id would take column 0, row 0 through the matched pair
     # (0, 0), then short column 1: four settles and a three-step path.
     fixture = inst([[0, 0, 9], [0, 5, 0]], [1, 1], [2, 2], [1, 1, 1], [1, 1, 1])
-    path = _searched(fixture, [("a", 0), ("a", 1)])
+    path = _searched(fixture, [0, 1])
     f = path.forest
     assert (f.terminal, f.terminal_dist, sum(f.settled)) == (4, 0, 2)
-    assert (path.steps, path.leaf) == ((("match", 1, 2),), ("b", 2))
+    assert path.nodes == (1, 4) and _leaf(path) == ("b", 2)
+    assert path.steps == (("match", 1, 2),)
 
 
 def test_row_search_with_park_budget_finishes_at_the_pool_once_it_ties():
@@ -1330,10 +1375,10 @@ def test_row_search_with_park_budget_finishes_at_the_pool_once_it_ties():
     # a park budget of 1.  Column 0's spare slot puts the pool at 0, so
     # the pool settles next instead of after columns 1 to 3.
     fixture = inst([[0, 0, 0, 0]], [1], [2], [0, 0, 0, 0], [1, 1, 1, 1])
-    path = _searched(fixture, [("a", 0)])
+    path = _searched(fixture, [0])
     f = path.forest
     assert (f.terminal, f.terminal_dist, sum(f.settled)) == (5, 0, 3)
-    assert path.finished_at_pool and path.leaf == ("b'", 0)
+    assert path.finished_at_pool and path.nodes == (0, 1, 5) and _leaf(path) == ("b'", 0)
     assert path.steps == (("match", 0, 0), ("park", 0))
 
 
@@ -1342,10 +1387,11 @@ def test_column_search_finishes_at_the_pool_once_it_ties():
     # puts the pool at 0, so the pool settles next instead of after rows
     # 2 to 4.
     fixture = inst([[0, 9], [0, 0], [0, 0], [0, 0], [0, 0]], [1, 0, 0, 0, 0], [1] * 5, [1, 1], [2, 2])
-    path = _searched(fixture, [("a", 0), ("b", 1)])
+    path = _searched(fixture, [0, 6])
     f = path.forest
     assert (f.orientation, f.terminal, f.terminal_dist, sum(f.settled)) == ("col", 7, 0, 3)
-    assert (path.steps, path.leaf) == ((("feed", 1), ("match", 1, 1)), ("a'", 1))
+    assert path.nodes == (7, 1, 6) and not path.finished_at_pool and _leaf(path) == ("a'", 1)
+    assert path.steps == (("feed", 1), ("match", 1, 1))
 
 
 def test_row_search_with_park_budget_finishes_through_the_first_pool_relax():
@@ -1359,10 +1405,10 @@ def test_row_search_with_park_budget_finishes_through_the_first_pool_relax():
     state = SolverState(inst([[2, 2]], [1], [2], [0, 0], [1, 1]))
     state.r[:] = [1, 0, 1]
     state.check_dual_invariants()
-    path = grow_forest(state, ("a", 0))
+    path = grow_forest(state, 0)
     f = path.forest
     assert (f.terminal, f.terminal_dist, sum(f.settled), f.parent[3]) == (3, 1, 4, 2)
-    assert path.finished_at_pool and path.leaf == ("b'", 1)
+    assert path.finished_at_pool and path.nodes == (0, 2, 3) and _leaf(path) == ("b'", 1)
     assert path.steps == (("match", 0, 1), ("park", 1))
 
 
@@ -1374,10 +1420,11 @@ def test_column_search_finishes_through_the_first_pool_relax():
     # set the pool's distance; preferring spare slots would feed row 1 at
     # the same cost.
     fixture = inst([[2, 3], [0, 1], [3, 0]], [1, 1, 0], [2, 2, 2], [0, 3], [1, 3])
-    path = _searched(fixture, [("a", 0), ("a", 1), ("b", 1)])
+    path = _searched(fixture, [0, 1, 4])
     f = path.forest
     assert (f.orientation, f.terminal, f.terminal_dist, sum(f.settled), f.parent[5]) == ("col", 5, 1, 5, 3)
-    assert (path.steps, path.leaf) == ((("release", 0), ("unmatch", 0, 0), ("match", 0, 1)), ("b'", 0))
+    assert path.nodes == (5, 3, 0, 4) and _leaf(path) == ("b'", 0)
+    assert path.steps == (("release", 0), ("unmatch", 0, 0), ("match", 0, 1))
 
 
 # Once the pool passes a unit through (row roots, no park budget left),
@@ -1389,12 +1436,12 @@ def test_rows_the_pool_feeds_settle_together_and_finish_at_the_lowest_tight_row(
     # time ends at row 1 (5 settles); the batch settles rows 2 and 3 too,
     # and the path is the same.
     state = SolverState(inst([[0, 5], [9, 0], [9, 0], [9, 0]], [1, 0, 0, 0], [1, 1, 1, 1], [0, 1], [1, 1]))
-    path = grow_forest(state, ("a", 0))
+    path = grow_forest(state, 0)
     f = path.forest
     assert (f.terminal, f.terminal_dist, sum(f.settled), f.parent[5]) == (5, 0, 7, 1)
     assert f.parent[1:4] == (6, 6, 6) and f.dist[1:4] == (0, 0, 0)
+    assert path.nodes == (0, 4, 6, 1, 5) and _leaf(path) == ("b", 1)
     assert path.steps == (("match", 0, 0), ("park", 0), ("feed", 1), ("match", 1, 1))
-    assert path.leaf == ("b", 1)
 
 
 def test_rows_the_pool_feeds_relax_each_column_from_the_lowest_row_at_its_minimum():
@@ -1404,10 +1451,11 @@ def test_rows_the_pool_feeds_relax_each_column_from_the_lowest_row_at_its_minimu
     fixture = inst(
         [[0, 5, 9], [9, 3, 0], [9, 2, 0], [9, 2, 0]], [1, 0, 0, 0], [1] * 4, [0, 1, 0], [1, 1, 1]
     )
-    path = grow_forest(SolverState(fixture), ("a", 0))
+    path = grow_forest(SolverState(fixture), 0)
     f = path.forest
     assert (f.terminal, f.terminal_dist, sum(f.settled)) == (5, 2, 8)
     assert f.parent[4:] == (0, 2, 1, 4)  # columns 0 to 2, then the pool
+    assert path.nodes == (0, 4, 7, 2, 5)
     assert path.steps == (("match", 0, 0), ("park", 0), ("feed", 2), ("match", 2, 1))
 
 
@@ -1473,7 +1521,7 @@ def test_tie_heavy_instances_match_the_flow_reference(monkeypatch):
                 leaf, arc = ("a'", u), -flip * int(state.r[u])
             else:
                 leaf, arc = ("b'", u - state.s), flip * int(state.r[u])
-            assert f.settled[u] and f.dist[u] + arc == f.terminal_dist and path.leaf == leaf, (root, f)
+            assert f.settled[u] and f.dist[u] + arc == f.terminal_dist and _leaf(path) == leaf, (root, f)
             pool_finishes[f.orientation] += 1
         return path
 

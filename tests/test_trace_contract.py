@@ -55,3 +55,35 @@ def test_traced_solve_records_every_solver_layer():
     assert spans["model.validate_instance"]["calls"] == 1
     assert spans["solver.grow_forest"]["calls"] == 2
     assert spans["solver.grow_forest"]["settled"] >= 1
+
+
+def test_path_counts_read_the_path_views():
+    # The tracer counts a search's settles from path.forest and its pool
+    # transits from path.steps: one per arrival at the pool (park, unfeed)
+    # plus one when the path starts there (feed, release).
+    counts = load_spans()._path_counts
+
+    def searched(cost, bounds, roots):
+        state = bmatch.SolverState(Instance.from_lists(cost, *bounds))
+        for root in roots:
+            path = bmatch.grow_forest(state, root)
+            state.park_budget -= path.finished_at_pool
+            bmatch.augment(state.matching, path)
+            state.apply_potentials(path)
+        return path
+
+    # Row 0 parks its unit in column 0's spare slot.
+    park = searched([[0, 0, 0, 0]], ([1], [2], [0, 0, 0, 0], [1, 1, 1, 1]), [0])
+    assert park.steps == (("match", 0, 0), ("park", 0)) and park.finished_at_pool
+    assert counts(park) == {"settled": 3, "pool_transits": 1}
+    # Column 1 (node 6) enters through row 1's spare slot.
+    bounds = ([1, 0, 0, 0, 0], [1] * 5, [1, 1], [2, 2])
+    feed = searched([[0, 9], [0, 0], [0, 0], [0, 0], [0, 0]], bounds, [0, 6])
+    assert feed.steps == (("feed", 1), ("match", 1, 1))
+    assert counts(feed) == {"settled": 3, "pool_transits": 1}
+    # Row 0 parks at column 0 and the pool feeds row 1 on to column 1:
+    # the pool passes one unit through.
+    bounds = ([1, 0, 0, 0], [1, 1, 1, 1], [0, 1], [1, 1])
+    through = searched([[0, 5], [9, 0], [9, 0], [9, 0]], bounds, [0])
+    assert through.steps == (("match", 0, 0), ("park", 0), ("feed", 1), ("match", 1, 1))
+    assert counts(through) == {"settled": 7, "pool_transits": 1}
