@@ -102,6 +102,8 @@ class CapacitatedMatching:
     and the quotas (``demand``, ``capacity``, ``surplus`` = capacity -
     demand) are the instance's, as int64 arrays built once.  ``lifted``
     is ``cost + LIFT * matched``, kept in step by every pair flip.
+    ``parks_left`` is the park budget, set by ``park_budget`` on the
+    empty and the warm-start matching and lowered only by ``augment``.
     """
 
     matched: np.ndarray  # (s, t) bool
@@ -112,18 +114,21 @@ class CapacitatedMatching:
     demand: np.ndarray
     capacity: np.ndarray
     surplus: np.ndarray
+    parks_left: int = 0
 
     @classmethod
     def empty(cls, inst: Instance) -> "CapacitatedMatching":
         demand = np.array((*inst.a_demand, *inst.b_demand), dtype=np.int64)
         capacity = np.array((*inst.a_capacity, *inst.b_capacity), dtype=np.int64)
-        return cls(
+        m = cls(
             matched=np.zeros((inst.s, inst.t), dtype=bool),
             cost=inst.costs,
             lifted=inst.costs.copy(),
             deg=np.zeros_like(demand), extra=np.zeros_like(demand),
             demand=demand, capacity=capacity, surplus=capacity - demand,
         )
+        m.parks_left = m.park_budget()
+        return m
 
     def unmet(self, v: int) -> bool:
         """Whether node ``v``'s demand copy still has a unit to place."""
@@ -198,11 +203,6 @@ class AugmentingPath:
     parent: np.ndarray | None = field(default=None, repr=False, compare=False)
     settled: np.ndarray | None = field(default=None, repr=False, compare=False)
     terminal: int = field(default=-1, repr=False, compare=False)
-
-    @property
-    def finished_at_pool(self) -> bool:
-        """Whether the path ends in the pool, as only a row root's can."""
-        return self.nodes[-1] == len(self.dist) - 1
 
     @cached_property
     def steps(self) -> tuple[tuple, ...]:
@@ -371,13 +371,10 @@ class SolverState:
     Construction runs the solve's one screen, ``normalize_instance``, then
     rejects costs outside the exact int64 domain with ``ValueError``.
     ``inst`` is the normalized instance (capacities clipped to the
-    opposite side size).  ``matching`` holds the cost and bound arrays;
-    ``labels`` reads ``offset``.
-
-    ``cand`` and ``unsettled`` are the search's scratch arrays over node
-    ids: all INF and all True between searches, which reset them.
-    ``blocks`` holds their views of side X and side Y, keyed by whether
-    the root is a row (rows then columns) or not (columns then rows).
+    opposite side size).  ``matching`` holds the cost and bound arrays
+    and the park budget; ``labels`` reads ``offset``.  Between two
+    augmentations a solve keeps only the matching and its duals ``r``:
+    each search allocates its own scratch arrays.
     """
 
     mu = 0  # the pool's dual: ``r`` holds every vertex's relative to it
@@ -387,18 +384,12 @@ class SolverState:
         c_max = _c_max(inst)
         _check_exact_domain(inst, c_max)
         self.inst = inst
-        self.s, self.t = s, t = inst.s, inst.t
+        self.s, self.t = inst.s, inst.t
         self.offset = c_max + 1
         self.matching = m = CapacitatedMatching.empty(inst)
         # Feasible initial duals: reduced costs start >= 0 everywhere.
-        self.r = np.concatenate((m.cost.min(axis=1), np.zeros(t, dtype=np.int64)))
-        # How many demand units may still end in spare column capacity.
-        self.park_budget = m.park_budget()
+        self.r = np.concatenate((m.cost.min(axis=1), np.zeros(inst.t, dtype=np.int64)))
         self.dual_updates = 0
-        self.cand = np.full(s + t + 1, INF, dtype=np.int64)
-        self.unsettled = np.ones(s + t + 1, dtype=bool)
-        rows, cols = ((self.cand[b], self.unsettled[b]) for b in (slice(0, s), slice(s, s + t)))
-        self.blocks = {True: (rows, cols), False: (cols, rows)}
 
     @property
     def graph(self) -> ExpandedGraph:
@@ -526,20 +517,18 @@ def grow_forest(state: SolverState, root: int) -> AugmentingPath:
     x_ret, y_spare = ret[side_x], spare[side_y]
     # Columns that still need partners; a column root finishes only at the pool.
     y_short = (m.deg - m.extra < m.demand)[side_y] & forward
-    pool_ends = state.park_budget > 0 or not forward
+    pool_ends = m.parks_left > 0 or not forward
     short = np.flatnonzero(y_short)  # empty on every column root
 
-    # cand (the state's, all INF between searches) holds the tentative
-    # distance of each reached, unsettled node and INF elsewhere, so one
-    # argmin picks each settle.  dist takes a node's distance as it
-    # settles and the tentative ones at the end.  Relaxing writes through
-    # each block's views.
-    cand, unsettled = state.cand, state.unsettled
-    (cand_x, live_x), (cand_y, live_y) = state.blocks[forward]
+    # cand holds each reached, unsettled node's tentative distance and INF
+    # elsewhere, so one argmin picks each settle; relaxes write through each
+    # side's views.  dist takes each distance as it settles, then the rest.
+    cand = np.full(pool + 1, INF, dtype=np.int64)
+    unsettled = np.ones(pool + 1, dtype=bool)
     dist = np.empty(pool + 1, dtype=np.int64)
     parent = np.full(pool + 1, -1, dtype=np.int64)
-    on_x = (cand_x, parent[x0 : x0 + nx], live_x)
-    on_y = (cand_y, parent[y0 : y0 + ny], live_y)
+    on_x, on_y = ((cand[b], parent[b], unsettled[b]) for b in (side_x, side_y))
+    cand_x, cand_y = on_x[0], on_y[0]
     settles = 0
     level = -1  # dv of the last settle if it may have put a finish at dv
     over_cap = f"search from {ref!r} settled more than its {pool + 1} nodes"
@@ -557,96 +546,91 @@ def grow_forest(state: SolverState, root: int) -> AugmentingPath:
             parent[pool] = v
 
     cand[root] = 0
-    try:
-        while True:
-            v = int(cand.argmin())
-            dv = int(cand[v])
-            if dv >= INF:
-                raise _stuck(state, ref, ~unsettled)
-            if dv == level:
-                # The pick ties the settle just done, which may have put a
-                # finish at dv: if so, that finish settles instead and ends
-                # the search, the lowest short column before the pool.  No
-                # unsettled node has a cand below dv, so the path through
-                # it is a shortest one.
-                k = int(short[cand_y[short].argmin()]) if short.size else -1
-                if k >= 0 and cand_y[k] == dv:
-                    v = y0 + k
-                elif pool_ends and cand[pool] == dv:
-                    v = pool
-                elif x0 <= v < x0 + nx and parent[v] == pool:
-                    # A row the pool fed (row roots only, no park budget
-                    # left): every side-X node at dv settles in this one
-                    # step.  The pool is settled, so none relaxes it.
-                    xs = np.flatnonzero(cand_x == dv)
-                    settles += xs.size
-                    if settles > pool + 1:
-                        raise InternalSolverError(over_cap)
-                    ids = x0 + xs
-                    dist[ids] = dv
-                    cand[ids] = INF
-                    unsettled[ids] = False
-                    tight = g[np.ix_(xs, short)] - ry[short] == rx[xs][:, None]
-                    hit = tight.any(axis=0)
-                    if not hit.any():
-                        # One relax of side Y; argmin takes the first of
-                        # tied rows, the one the one-node order settles first.
-                        nd = g[xs] - ry
-                        nd += (dv - rx[xs])[:, None]
-                        best = nd.argmin(axis=0)
-                        relax(on_y, nd[best, np.arange(ny)], ids[best])
-                        level = -1  # no short column at dv, and the pool is settled
-                        continue
-                    # A tight arc to a short column: the lowest such column
-                    # finishes, reached from the lowest row tight to it.
-                    k = int(hit.argmax())
-                    v = y0 + int(short[k])
-                    parent[v] = ids[tight[:, k].argmax()]
-            if settles > pool:
-                raise InternalSolverError(over_cap)
-            settles += 1
-            dist[v] = dv
-            cand[v] = INF
-            unsettled[v] = False
-            if v == pool:
-                if pool_ends:
-                    break
-                # Pool without park budget left (row roots only): pass
-                # through it into a row's spare slot or a parked column unit.
-                relax(on_x, np.where(spare[side_x], dv + rx, INF), v)
-                relax(on_y, np.where(ret[side_y], dv - ry, INF), v)
+    while True:
+        v = int(cand.argmin())
+        dv = int(cand[v])
+        if dv >= INF:
+            raise _stuck(state, ref, ~unsettled)
+        if dv == level:
+            # The pick ties the settle just done, which may have put a
+            # finish at dv: if so, that finish settles instead and ends
+            # the search, the lowest short column before the pool.  No
+            # unsettled node has a cand below dv, so the path through
+            # it is a shortest one.
+            k = int(short[cand_y[short].argmin()]) if short.size else -1
+            if k >= 0 and cand_y[k] == dv:
+                v = y0 + k
+            elif pool_ends and cand[pool] == dv:
+                v = pool
+            elif x0 <= v < x0 + nx and parent[v] == pool:
+                # A row the pool fed (row roots only, no park budget
+                # left): every side-X node at dv settles in this one
+                # step.  The pool is settled, so none relaxes it.
+                xs = np.flatnonzero(cand_x == dv)
+                settles += xs.size
+                if settles > pool + 1:
+                    raise InternalSolverError(over_cap)
+                ids = x0 + xs
+                dist[ids] = dv
+                cand[ids] = INF
+                unsettled[ids] = False
+                tight = g[np.ix_(xs, short)] - ry[short] == rx[xs][:, None]
+                hit = tight.any(axis=0)
+                if not hit.any():
+                    # One relax of side Y; argmin takes the first of
+                    # tied rows, the one the one-node order settles first.
+                    nd = g[xs] - ry
+                    nd += (dv - rx[xs])[:, None]
+                    best = nd.argmin(axis=0)
+                    relax(on_y, nd[best, np.arange(ny)], ids[best])
+                    level = -1  # no short column at dv, and the pool is settled
+                    continue
+                # A tight arc to a short column: the lowest such column
+                # finishes, reached from the lowest row tight to it.
+                k = int(hit.argmax())
+                v = y0 + int(short[k])
+                parent[v] = ids[tight[:, k].argmax()]
+        if settles > pool:
+            raise InternalSolverError(over_cap)
+        settles += 1
+        dist[v] = dv
+        cand[v] = INF
+        unsettled[v] = False
+        if v == pool:
+            if pool_ends:
+                break
+            # Pool without park budget left (row roots only): pass
+            # through it into a row's spare slot or a parked column unit.
+            relax(on_x, np.where(spare[side_x], dv + rx, INF), v)
+            relax(on_y, np.where(ret[side_y], dv - ry, INF), v)
+            level = dv
+        elif x0 <= v < x0 + nx:
+            x = v - x0
+            nd = g[x] - ry  # matched pairs: INF or above
+            nd += dv - rx[x]
+            relax(on_y, nd, v)
+            level = dv  # side Y holds the short columns, if any
+            if x_ret[x]:
+                relax_pool(dv - int(rx[x]), v)
+        else:
+            y = v - y0
+            if y_short[y]:
+                break  # a column that still needs partners: finish here
+            nd = rx - g[:, y]  # unmatched pairs: INF or above
+            nd += LIFT + dv + ry[y]
+            relax(on_x, nd, v)
+            level = -1  # side X holds no finish
+            if y_spare[y]:
+                relax_pool(dv + int(ry[y]), v)
                 level = dv
-            elif x0 <= v < x0 + nx:
-                x = v - x0
-                nd = g[x] - ry  # matched pairs: INF or above
-                nd += dv - rx[x]
-                relax(on_y, nd, v)
-                level = dv  # side Y holds the short columns, if any
-                if x_ret[x]:
-                    relax_pool(dv - int(rx[x]), v)
-            else:
-                y = v - y0
-                if y_short[y]:
-                    break  # a column that still needs partners: finish here
-                nd = rx - g[:, y]  # unmatched pairs: INF or above
-                nd += LIFT + dv + ry[y]
-                relax(on_x, nd, v)
-                level = -1  # side X holds no finish
-                if y_spare[y]:
-                    relax_pool(dv + int(ry[y]), v)
-                    level = dv
-        np.copyto(dist, cand, where=unsettled)
-        settled = ~unsettled
-    finally:
-        cand.fill(INF)
-        unsettled.fill(True)
+    np.copyto(dist, cand, where=unsettled)
 
     # The pointers lead back from the terminal: along the arcs on a column
     # root's reversed search, against them on a row root's.
     nodes = _chain(parent, v)
     return AugmentingPath(
         root=root, nodes=tuple(nodes[::-1] if forward else nodes),
-        s=s, dist=dist, parent=parent, settled=settled, terminal=v,
+        s=s, dist=dist, parent=parent, settled=~unsettled, terminal=v,
     )
 
 
@@ -679,7 +663,8 @@ def augment(m: CapacitatedMatching, path: AugmentingPath) -> CapacitatedMatching
     A path may take a vertex over its capacity midway and back by its
     end, so capacities are checked once the arcs are done, at the
     vertices a match raised: only there can a degree have grown.  The
-    root's demand copy, which no pool arc counts, is checked last.
+    root's demand copy, which no pool arc counts, is checked last.  A
+    path ending at the pool, as only a row root's can, spends a park.
     """
     s, pool = len(m.matched), len(m.deg)
     raised: list[int] = []
@@ -705,6 +690,8 @@ def augment(m: CapacitatedMatching, path: AugmentingPath) -> CapacitatedMatching
             raise InternalSolverError(f"impossible arc {u}->{v} in augmenting path")
     if any(m.deg[w] > m.capacity[w] for w in raised):
         raise InternalSolverError("augmentation exceeded a capacity")
+    if path.nodes[-1] == pool:
+        m.parks_left -= 1
     v = path.root
     if m.deg[v] - m.extra[v] > m.demand[v]:
         raise InternalSolverError(f"{_vertex(v, s)} routed above its demand quota")
@@ -808,19 +795,22 @@ def _column_start(state: SolverState) -> int:
       parked and no pool->column arc exists; ``q >= 0`` holds every
       column->pool arc.
 
-    ``_set_start`` then sets the park budget by the rule that sets it on
-    the empty matching, ``CapacitatedMatching.park_budget``: R - C floored
-    at 0, with R and C the summed shortfalls of rows and columns.  A
-    phase-1 path that finishes at a short column lowers R and C by one
-    each, and one that finishes at the pool lowers R and the budget by
-    one, so R - C - budget keeps its start value, min(0, R - C) <= 0.  On
-    a feasible instance take a b-matching that meets every bound, each
-    vertex filling its demand copy first.  Its difference from the
-    current matching is a flow along residual arcs, pool arcs included,
-    out of the rows short of demand (R units) into the columns short of
-    demand (C units), and the pool passes on the balance.  With budget
-    left the pool is a finish, so the root's units reach a finish along
-    that flow.  With none, R <= C: the pool takes in no more of the flow
+    ``_set_start`` then sets the park budget ``m.parks_left`` by the rule
+    that sets it on the empty matching, ``park_budget``: R - C floored at
+    0, with R and C the summed shortfalls of rows and columns.  Only
+    ``augment`` changes it after: a phase-1 path that finishes at a short
+    column lowers R and C by one each, and one that finishes at the pool
+    lowers R and ``parks_left`` by one.  So R - C - parks_left keeps its
+    start value, min(0, R - C) <= 0, and as only a search with budget
+    left finishes at the pool, ``parks_left`` stays the rule's value on
+    the current matching without the rule running again.  On a feasible
+    instance take a b-matching that meets every bound, each vertex
+    filling its demand copy first.  Its difference from the current
+    matching is a flow along residual arcs, pool arcs included, out of
+    the rows short of demand (R units) into the columns short of demand
+    (C units), and the pool passes on the balance.  With budget left the
+    pool is a finish, so the root's units reach a finish along that
+    flow.  With none, R <= C: the pool takes in no more of the flow
     than it sends out, so some unit out of the root reaches a short
     column, through the pool if need be.  Either way every search from a
     row short of demand finishes.  The rule on the empty matching's
@@ -860,8 +850,9 @@ def _set_start(state: SolverState, pick: np.ndarray, p: np.ndarray, q: np.ndarra
     ``pick`` is the start's matched mask and ``(p, q)`` its duals for
     ``r``; ``matched``, ``lifted`` and the degrees change as ``augment``
     would change them, each vertex's pairs filling its demand copy first.
-    The park budget is set again from the start's matching (see
-    ``_column_start``).  One ``check_dual_invariants`` confirms the start.
+    ``parks_left`` is set again by ``park_budget`` on the start's matching
+    (see ``_column_start``).  One ``check_dual_invariants`` confirms the
+    start.
     Returns the number of pairs placed.
     """
     m = state.matching
@@ -870,7 +861,7 @@ def _set_start(state: SolverState, pick: np.ndarray, p: np.ndarray, q: np.ndarra
     m.deg += np.concatenate((pick.sum(axis=1), pick.sum(axis=0)))
     np.maximum(m.deg - m.demand, 0, out=m.extra)
     state.r[: state.s], state.r[state.s :] = p, q
-    state.park_budget = m.park_budget()
+    m.parks_left = m.park_budget()
     state.check_dual_invariants()
     return int(pick.sum())
 
@@ -937,7 +928,6 @@ def _solve(
     for root in np.flatnonzero(m.deg - m.extra < m.demand).tolist():
         while m.unmet(root):
             path = grow_forest(state, root)
-            state.park_budget -= path.finished_at_pool
             augment(m, path)
             state.apply_potentials(path)
             placed[root >= state.s] += 1

@@ -9,6 +9,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import types
 
 import numpy as np
 import pytest
@@ -183,7 +184,7 @@ class TestSearchPrimitives:
         path = grow_forest(st, 0)
         assert (path.root, path.nodes) == (0, (0, 1))
         assert path.steps == (("match", 0, 0),)
-        assert _leaf(path) == ("b", 0) and not path.finished_at_pool
+        assert _leaf(path) == ("b", 0) and path.nodes[-1] != 1 + 2
         assert path.forest.terminal_dist == 0
 
     def test_grow_rejects_saturated_root(self):
@@ -207,7 +208,7 @@ class TestSearchPrimitives:
         augment(st.matching, grow_forest(st, 0))
         path = grow_forest(st, 2)
         assert (path.root, path.nodes) == (2, (3, 0, 2))  # pool -> row 0 -> column 1
-        assert _leaf(path) == ("a'", 0) and not path.finished_at_pool
+        assert _leaf(path) == ("a'", 0) and path.nodes[-1] != 1 + 2
         assert path.steps == (("feed", 0), ("match", 0, 1))
         assert path.forest.orientation == "col"
 
@@ -416,35 +417,6 @@ def test_matching_quotas_equal_the_copy_view(rng):
         assert m.surplus.tolist() == [*graph.a_surplus_quota, *graph.b_surplus_quota]
 
 
-def test_search_arrays_are_reset_after_every_search(monkeypatch):
-    # The state's cand and unsettled arrays serve every search; each
-    # search, stuck ones included, leaves them all INF and all True.
-    original = solver_module.grow_forest
-    seen = set()
-
-    def checked(state, root):
-        try:
-            return original(state, root)
-        except InfeasibleInstanceError:
-            seen.add("stuck")
-            raise
-        finally:
-            assert np.all(state.cand == INF) and state.unsettled.all(), root
-            seen.add("row" if root < state.s else "col")
-
-    monkeypatch.setattr(solver_module, "grow_forest", checked)
-    rng = random.Random(0x5C4A7C)
-    fixtures = [draw_instance(rng, max_s=5, max_t=5, cap_max=4) for _ in range(80)]
-    # Passes the aggregate screen, then a search gets stuck.
-    fixtures.append(inst([[1, 1, 1], [1, 1, 1], [0, 0, 0]], [3, 3, 0], [3, 3, 3], [0, 0, 0], [3, 3, 1]))
-    for fixture in fixtures:
-        try:
-            solve_ga(fixture)
-        except ValueError:  # InfeasibleInstanceError included
-            pass
-    assert seen == {"row", "col", "stuck"}
-
-
 def test_search_after_another_equals_search_on_fresh_state():
     # A search that follows another one on the same state, stuck or not,
     # returns what the same search returns on a fresh state.
@@ -469,26 +441,33 @@ def test_search_after_another_equals_search_on_fresh_state():
     assert firsts == {True, False}
 
 
-def test_search_with_a_settled_node_back_in_cand_raises():
-    # Detach the live masks from the state's unsettled array, so relaxes
-    # put settled nodes back into cand.  On the first instance such a
-    # search never ends by itself; it must raise once it has settled more
-    # nodes than the graph has.  In the second, row 2's search feeds rows
-    # back in through the pool, and the step that settles them together
-    # goes over the count.  On both, the column start leaves a row unit
-    # for phase 1.
+class _CopiedSlices(np.ndarray):
+    """An array whose slices are copies, not views."""
+
+    def __getitem__(self, key):
+        item = super().__getitem__(key)
+        return item.copy() if isinstance(key, slice) else item
+
+
+def test_search_with_a_settled_node_back_in_cand_raises(monkeypatch):
+    # The solver's np.ones hands each search an unsettled array whose
+    # slices are copies, so the live masks on each side stay all True and
+    # relaxes put settled nodes back into cand.  On the first instance
+    # such a search never ends by itself; it must raise once it has
+    # settled more nodes than the graph has.  In the second, row 2's
+    # search feeds rows back in through the pool, and the step that
+    # settles them together goes over the count.  On both, the column
+    # start leaves a row unit for phase 1.
+    leaky_np = types.SimpleNamespace(**vars(np))
+    leaky_np.ones = lambda *args, **kwargs: np.ones(*args, **kwargs).view(_CopiedSlices)
+    monkeypatch.setattr(solver_module, "np", leaky_np)
     leaky = [
         (inst([[1, 2], [2, 2]], [1, 2], [1, 2], [1, 1], [2, 1]), 5),
         (inst([[2, 0, 1], [1, 1, 2], [1, 1, 2]], [1, 1, 1], [1, 3, 3], [1, 2, 1], [1, 2, 1]), 7),
     ]
     for fixture, nodes in leaky:
-        state = SolverState(fixture)
-        state.blocks = {
-            group: tuple((cand, np.ones(len(cand), dtype=bool)) for cand, _ in views)
-            for group, views in state.blocks.items()
-        }
         with pytest.raises(InternalSolverError, match=f"settled more than its {nodes} nodes"):
-            solver_module._solve(state, "ga", None, 0.0)
+            solve_ga(fixture)
     with pytest.raises(InternalSolverError, match="cycle"):
         solver_module._chain(np.array([1, 2, 0]), 0)
 
@@ -662,7 +641,7 @@ def test_searches_are_pinned(monkeypatch):
             if done and v != root:
                 assert f.parent[v] >= 0 and f.settled[f.parent[v]], (root, v)
         seen.add(f.orientation)
-        if path.finished_at_pool:
+        if path.nodes[-1] == pool:
             seen.add("pool finish")
         if f.settled[pool] and f.terminal != pool:
             seen.add("pool pass-through")  # the pool did not end it: no park budget left
@@ -1043,7 +1022,7 @@ def test_surplus_counts_balance_the_pool(monkeypatch):
 
     def starting(state, *args):
         placed = original_start(state, *args)
-        starts.append((state.park_budget, int(state.matching.extra[: state.s].sum())))
+        starts.append((state.matching.parks_left, int(state.matching.extra[: state.s].sum())))
         return placed
 
     def counting(state, root):
@@ -1067,10 +1046,49 @@ def test_surplus_counts_balance_the_pool(monkeypatch):
         m, s = st.matching, st.s
         (budget, fed), = starts
         into_pool = int(m.extra[s:].sum()) - int(m.extra[:s].sum())
-        assert into_pool == budget - st.park_budget - sum(roots) - fed, fixture
+        assert into_pool == budget - m.parks_left - sum(roots) - fed, fixture
         checked += 1
         fed_at_start += fed > 0
     assert checked >= 2000 and fed_at_start >= 500, (checked, fed_at_start)
+
+
+def test_park_budget_on_the_matching_equals_the_rule_before_every_row_search(monkeypatch):
+    # The start sets parks_left by park_budget() and only augment lowers
+    # it, yet before every row search it equals park_budget() recomputed
+    # on the current matching, and it is 0 once phase 1 ends: at every
+    # column search and after the solve (see _column_start).  The state
+    # keeps only the matching and its duals between searches.
+    original = solver_module.grow_forest
+    counts = {"row searches with budget": 0, "last unit parked": 0}
+
+    def checked(state, root):
+        m = state.matching
+        left = m.parks_left
+        if root < state.s:
+            assert left == m.park_budget(), root
+            counts["row searches with budget"] += left > 0
+        else:
+            assert left == 0, root
+        path = original(state, root)
+        counts["last unit parked"] += left == 1 and path.nodes[-1] == state.s + state.t
+        return path
+
+    monkeypatch.setattr(solver_module, "grow_forest", checked)
+    rng = random.Random(0xB0D6E7)
+    solved = 0
+    for _ in range(1500):
+        fixture = draw_instance(rng, max_s=6, max_t=6, cost_max=10**6, cap_max=4)
+        states = []
+        try:
+            solve_ga(fixture, observer=states.append)
+        except InfeasibleInstanceError:
+            continue
+        solved += 1
+        if states:
+            assert states[-1].matching.parks_left == 0 == states[-1].matching.park_budget()
+            assert vars(states[-1]).keys() == {"inst", "s", "t", "offset", "matching", "r", "dual_updates"}
+    assert solved >= 1000, solved
+    assert counts["row searches with budget"] >= 1500 and counts["last unit parked"] >= 600, counts
 
 
 def test_top_of_domain_stays_exact_on_row_demand_zero_shapes(monkeypatch):
@@ -1352,7 +1370,6 @@ def _searched(fixture, roots):
     state = SolverState(fixture)
     for root in roots:
         path = grow_forest(state, root)
-        state.park_budget -= path.finished_at_pool
         augment(state.matching, path)
         state.apply_potentials(path)
     return path
@@ -1378,7 +1395,7 @@ def test_row_search_with_park_budget_finishes_at_the_pool_once_it_ties():
     path = _searched(fixture, [0])
     f = path.forest
     assert (f.terminal, f.terminal_dist, sum(f.settled)) == (5, 0, 3)
-    assert path.finished_at_pool and path.nodes == (0, 1, 5) and _leaf(path) == ("b'", 0)
+    assert path.nodes[-1] == 1 + 4 and path.nodes == (0, 1, 5) and _leaf(path) == ("b'", 0)
     assert path.steps == (("match", 0, 0), ("park", 0))
 
 
@@ -1390,7 +1407,7 @@ def test_column_search_finishes_at_the_pool_once_it_ties():
     path = _searched(fixture, [0, 6])
     f = path.forest
     assert (f.orientation, f.terminal, f.terminal_dist, sum(f.settled)) == ("col", 7, 0, 3)
-    assert path.nodes == (7, 1, 6) and not path.finished_at_pool and _leaf(path) == ("a'", 1)
+    assert path.nodes == (7, 1, 6) and path.nodes[-1] != 5 + 2 and _leaf(path) == ("a'", 1)
     assert path.steps == (("feed", 1), ("match", 1, 1))
 
 
@@ -1408,7 +1425,7 @@ def test_row_search_with_park_budget_finishes_through_the_first_pool_relax():
     path = grow_forest(state, 0)
     f = path.forest
     assert (f.terminal, f.terminal_dist, sum(f.settled), f.parent[3]) == (3, 1, 4, 2)
-    assert path.finished_at_pool and path.nodes == (0, 2, 3) and _leaf(path) == ("b'", 1)
+    assert path.nodes[-1] == 1 + 2 and path.nodes == (0, 2, 3) and _leaf(path) == ("b'", 1)
     assert path.steps == (("match", 0, 1), ("park", 1))
 
 

@@ -67,14 +67,13 @@ def test_path_counts_read_the_path_views():
         state = bmatch.SolverState(Instance.from_lists(cost, *bounds))
         for root in roots:
             path = bmatch.grow_forest(state, root)
-            state.park_budget -= path.finished_at_pool
             bmatch.augment(state.matching, path)
             state.apply_potentials(path)
         return path
 
     # Row 0 parks its unit in column 0's spare slot.
     park = searched([[0, 0, 0, 0]], ([1], [2], [0, 0, 0, 0], [1, 1, 1, 1]), [0])
-    assert park.steps == (("match", 0, 0), ("park", 0)) and park.finished_at_pool
+    assert park.steps == (("match", 0, 0), ("park", 0)) and park.nodes[-1] == 1 + 4
     assert counts(park) == {"settled": 3, "pool_transits": 1}
     # Column 1 (node 6) enters through row 1's spare slot.
     bounds = ([1, 0, 0, 0, 0], [1] * 5, [1, 1], [2, 2])
