@@ -101,14 +101,17 @@ class CapacitatedMatching:
     ``deg - extra`` counts its demand copy's, on either side.  ``cost``
     and the quotas (``demand``, ``capacity``, ``surplus`` = capacity -
     demand) are the instance's, as int64 arrays built once.  ``lifted``
-    is ``cost + LIFT * matched``, kept in step by every pair flip.
-    ``parks_left`` is the park budget, set by ``park_budget`` on the
-    empty and the warm-start matching and lowered only by ``augment``.
+    is ``cost + LIFT * matched`` and ``partner_sum[v]`` the sum of the
+    node ids v is matched to, so v's one partner where ``deg[v] == 1``;
+    every pair flip keeps both in step.  ``parks_left`` is the park
+    budget, set by ``park_budget`` on the empty and the warm-start
+    matching and lowered only by ``augment``.
     """
 
     matched: np.ndarray  # (s, t) bool
     cost: np.ndarray  # (s, t) int64
     lifted: np.ndarray  # (s, t) int64
+    partner_sum: np.ndarray  # per node id: the sum of its partners' node ids
     deg: np.ndarray
     extra: np.ndarray
     demand: np.ndarray
@@ -123,7 +126,7 @@ class CapacitatedMatching:
         m = cls(
             matched=np.zeros((inst.s, inst.t), dtype=bool),
             cost=inst.costs,
-            lifted=inst.costs.copy(),
+            lifted=inst.costs.copy(), partner_sum=np.zeros_like(demand),
             deg=np.zeros_like(demand), extra=np.zeros_like(demand),
             demand=demand, capacity=capacity, surplus=capacity - demand,
         )
@@ -136,11 +139,14 @@ class CapacitatedMatching:
 
     def flip(self, i: int, j: int, d: int) -> None:
         """Add (``d = 1``) or drop (``d = -1``) pair (i, j), keeping
-        ``matched``, ``lifted`` and both degrees in step."""
+        ``matched``, ``lifted``, ``partner_sum`` and both degrees in step."""
+        y = len(self.matched) + j
         self.matched[i, j] = d > 0
         self.lifted[i, j] += d * LIFT
+        self.partner_sum[i] += d * y
+        self.partner_sum[y] += d * i
         self.deg[i] += d
-        self.deg[len(self.matched) + j] += d
+        self.deg[y] += d
 
     def park_budget(self) -> int:
         """How many row units may still end in spare column capacity: the
@@ -296,7 +302,9 @@ def _check_exact_domain(inst: Instance, c_max: int) -> None:
     * from side Y, an unmatched pair reads LIFT + dv - rc with rc in
       [0, C + K], and the scalar ``LIFT + dv + ry[y]`` is its largest
       partial sum (``g[x] - ry`` and ``rx - g[:, y]`` stay within
-      LIFT + C + K in size).
+      LIFT + C + K in size).  At degree 1, side Y's relax computes its
+      partner's entry alone, in Python ints: the same value, which
+      needs no bound.
 
     Bounding dv and ``ry[y]`` apart (min(s, t)*C + 2K) is too loose for
     s = t = 1.  Jointly: dv is the tree path's cost plus the difference of
@@ -496,7 +504,14 @@ def grow_forest(state: SolverState, root: int) -> AugmentingPath:
     ``(lifted.T, r[s:], r[:s])``.  Node ids keep one layout (rows, columns,
     pool) in both directions, so ties break the same way.  Relaxes read
     the lifted cost matrix, where every pair a relax may not use comes
-    out at INF or above, so no relax needs a mask of ``matched``.
+    out at INF or above, so no relax needs a mask of ``matched``.  A
+    side-X node relaxes all of side Y.  A side-Y node can reach only its
+    matched partners, so it relaxes those alone: none at degree 0, the
+    one that ``partner_sum`` names at degree 1 as one scalar entry in
+    Python ints, and all of side X through one column of the lifted
+    matrix at degree 2 or more.  Every other entry of that column is at
+    INF or above and would never be written, so the three give the
+    same search.
     """
     s, t = state.s, state.t
     pool = s + t
@@ -528,7 +543,8 @@ def grow_forest(state: SolverState, root: int) -> AugmentingPath:
     dist = np.empty(pool + 1, dtype=np.int64)
     parent = np.full(pool + 1, -1, dtype=np.int64)
     on_x, on_y = ((cand[b], parent[b], unsettled[b]) for b in (side_x, side_y))
-    cand_x, cand_y = on_x[0], on_y[0]
+    (cand_x, parent_x, live_x), cand_y = on_x, on_y[0]
+    deg, partner_sum = m.deg, m.partner_sum
     settles = 0
     level = -1  # dv of the last settle if it may have put a finish at dv
     over_cap = f"search from {ref!r} settled more than its {pool + 1} nodes"
@@ -616,9 +632,19 @@ def grow_forest(state: SolverState, root: int) -> AugmentingPath:
             y = v - y0
             if y_short[y]:
                 break  # a column that still needs partners: finish here
-            nd = rx - g[:, y]  # unmatched pairs: INF or above
-            nd += LIFT + dv + ry[y]
-            relax(on_x, nd, v)
+            # Only v's partners can come in under INF: none to relax at
+            # degree 0, one scalar entry at degree 1.
+            k = deg.item(v)
+            if k == 1:
+                x = partner_sum.item(v) - x0
+                nd = rx.item(x) - g.item(x, y) + LIFT + dv + ry.item(y)
+                if live_x.item(x) and nd < cand_x.item(x):
+                    cand_x[x] = nd
+                    parent_x[x] = v
+            elif k:
+                nd = rx - g[:, y]  # unmatched pairs: INF or above
+                nd += LIFT + dv + ry[y]
+                relax(on_x, nd, v)
             level = -1  # side X holds no finish
             if y_spare[y]:
                 relax_pool(dv + int(ry[y]), v)
@@ -848,22 +874,28 @@ def _set_start(state: SolverState, pick: np.ndarray, p: np.ndarray, q: np.ndarra
     """Write a warm start's pairs and labels onto the empty matching.
 
     ``pick`` is the start's matched mask and ``(p, q)`` its duals for
-    ``r``; ``matched``, ``lifted`` and the degrees change as ``augment``
-    would change them, each vertex's pairs filling its demand copy first.
+    ``r``; ``matched``, ``lifted``, ``partner_sum`` and the degrees change
+    as ``augment`` would change them, each vertex's pairs filling its
+    demand copy first.
     ``parks_left`` is set again by ``park_budget`` on the start's matching
     (see ``_column_start``).  One ``check_dual_invariants`` confirms the
     start.
     Returns the number of pairs placed.
     """
-    m = state.matching
+    m, s = state.matching, state.s
     m.matched |= pick
-    m.lifted[pick] += LIFT
-    m.deg += np.concatenate((pick.sum(axis=1), pick.sum(axis=0)))
+    # flatnonzero and divmod: a 2-D np.nonzero costs several times more.
+    rows, cols = divmod(np.flatnonzero(pick), state.t)
+    m.lifted[rows, cols] += LIFT
+    cols += s
+    ends = np.concatenate((rows, cols))
+    m.deg += np.bincount(ends, minlength=len(m.deg))
+    np.add.at(m.partner_sum, ends, np.concatenate((cols, rows)))
     np.maximum(m.deg - m.demand, 0, out=m.extra)
-    state.r[: state.s], state.r[state.s :] = p, q
+    state.r[:s], state.r[s:] = p, q
     m.parks_left = m.park_budget()
     state.check_dual_invariants()
-    return int(pick.sum())
+    return rows.size
 
 
 def _prune_unneeded_pairs(state: SolverState) -> int:

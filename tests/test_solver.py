@@ -494,6 +494,68 @@ def test_lifted_matrix_follows_every_pair_flip(rng):
     assert pruned >= 1
 
 
+def _check_partner_record(m):
+    """``partner_sum`` equals the sum of each node's partners' node ids
+    in ``matched``, so on a node of degree 1 it names that one partner."""
+    s, t = m.matched.shape
+    rows, cols = np.nonzero(m.matched)
+    want = np.zeros(s + t, dtype=np.int64)
+    np.add.at(want, rows, s + cols)
+    np.add.at(want, s + cols, rows)
+    assert np.array_equal(m.partner_sum, want)
+
+
+def _draw_sparse_demand(rng, max_s, max_t):
+    """One instance with capacities 1 to 3 and a demand on about a third
+    of the vertices, not necessarily feasible."""
+    s, t = rng.randint(1, max_s), rng.randint(1, max_t)
+    a_cap = [rng.randint(1, 3) for _ in range(s)]
+    b_cap = [rng.randint(1, 3) for _ in range(t)]
+    a_dem = [rng.randint(1, c) if rng.random() < 0.3 else 0 for c in a_cap]
+    b_dem = [rng.randint(1, c) if rng.random() < 0.3 else 0 for c in b_cap]
+    return inst([[rng.randint(0, 20) for _ in range(t)] for _ in range(s)], a_dem, a_cap, b_dem, b_cap)
+
+
+def test_partner_record_follows_every_pair_flip(monkeypatch, rng):
+    # After each start, after every augmentation (the observer) and after
+    # the prune (the live state the observer saw last, pruned on return).
+    starts, states, pruned, solved = {"_warm_start": 0, "_column_start": 0}, [], 0, 0
+
+    def checked(name):
+        original = getattr(solver_module, name)
+
+        def start(state):
+            placed = original(state)
+            _check_partner_record(state.matching)
+            starts[name] += 1
+            return placed
+
+        monkeypatch.setattr(solver_module, name, start)
+
+    for name in starts:
+        checked(name)
+
+    def watch(state):
+        _check_partner_record(state.matching)
+        states[:] = [state]
+
+    fixtures = [draw_unit(rng, rng.randint(2, 8), 5) for _ in range(40)]
+    fixtures += [_draw_sparse_demand(rng, 7, 7) for _ in range(80)]
+    fixtures += [draw_instance(rng, max_s=6, max_t=6, cap_max=4, cost_max=20) for _ in range(80)]
+    fixtures.append(inst([[0], [2]], [0, 1], [1, 1], [1], [2]))
+    for fixture in fixtures:
+        states.clear()
+        try:
+            _, rep = solve_ga(fixture, observer=watch)
+        except ValueError:  # InfeasibleInstanceError included
+            continue
+        pruned += rep.pruned_pairs
+        solved += 1
+        for state in states:
+            _check_partner_record(state.matching)
+    assert solved >= 150 and pruned >= 1 and min(starts.values()) >= 40, (solved, pruned, starts)
+
+
 def test_forest_read_late_equals_forest_read_at_once(monkeypatch):
     # Two identical solves in lockstep.  One reads each path's forest as
     # grow_forest returns; the other reads them only after the solve, by
@@ -667,6 +729,53 @@ def test_searches_are_pinned(monkeypatch):
     assert all(records.values())
     digests = tuple(_digest(records[key]) for key in ("rest", "unit", "row0"))
     assert digests == (PINNED_SEARCHES, PINNED_UNIT_SEARCHES, PINNED_ROW0_SEARCHES), digests
+
+
+# sha256 of every search of the corpus in
+# test_relax_branches_cover_every_partner_count, recorded as
+# test_searches_are_pinned records them.  A search whose settled side-Y
+# nodes all relaxed side X through a full column of the lifted matrix
+# gave this same digest.
+PINNED_BRANCH_SEARCHES = "c21b24e9b4d4fd12ef1a2b17a7f54dc88f12493bfae2260a9e3119b488a39bbc"
+
+
+def test_relax_branches_cover_every_partner_count(monkeypatch):
+    # A side-Y node that settles and does not finish relaxes side X only
+    # through its partners: not at all at degree 0, by one scalar entry at
+    # degree 1, through a column of the lifted matrix at 2 or more.  The
+    # corpus reaches each degree from row roots and column roots alike;
+    # the draws whose row demands are all 0 give the column roots' rows
+    # of degree 0, which general draws seldom settle.
+    original = solver_module.grow_forest
+    counts = {(side, k): 0 for side in ("row", "col") for k in (0, 1, 2)}
+    records = []
+
+    def counting(state, root):
+        deg = state.matching.deg.copy()
+        try:
+            path = original(state, root)
+        except InfeasibleInstanceError as err:
+            records.append(["stuck", list(err.root), list(err.reached)])
+            raise
+        f, s = path.forest, state.s
+        side_y = range(s, s + state.t) if f.orientation == "row" else range(s)
+        for y in side_y:
+            if f.settled[y] and y != f.terminal:
+                counts[f.orientation, min(int(deg[y]), 2)] += 1
+        records.append([dataclasses.asdict(f), [list(op) for op in path.steps], list(_leaf(path))])
+        return path
+
+    monkeypatch.setattr(solver_module, "grow_forest", counting)
+    rng = random.Random(0xDE6)
+    fixtures = [_draw_bounds(rng, rng.randint(2, 8), rng.randint(2, 8), (2, 20)[k % 2]) for k in range(200)]
+    fixtures += [_draw_row_demand_zero(rng, rng.randint(4, 10), rng.randint(2, 6), (2, 20)[k % 2]) for k in range(100)]
+    for fixture in fixtures:
+        try:
+            solve_ga(fixture)
+        except ValueError:  # InfeasibleInstanceError included
+            pass
+    assert min(counts.values()) >= 50, counts
+    assert _digest(records) == PINNED_BRANCH_SEARCHES, _digest(records)
 
 
 class TestRuntimeInvariants:
