@@ -35,7 +35,6 @@ from .model import (
     validate_instance,
 )
 from .solver import (
-    AlternatingForest,
     AugmentingPath,
     CapacitatedMatching,
     InfeasibleInstanceError,
@@ -75,7 +74,6 @@ __all__ = [
     "build_expanded_graph",
     "CapacitatedMatching",
     "SolverState",
-    "AlternatingForest",
     "AugmentingPath",
     "SolveReport",
     "InfeasibleInstanceError",

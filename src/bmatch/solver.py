@@ -58,6 +58,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -70,7 +71,6 @@ __all__ = [
     "InfeasibleInstanceError",
     "InternalSolverError",
     "CapacitatedMatching",
-    "AlternatingForest",
     "AugmentingPath",
     "SolveReport",
     "SolverState",
@@ -89,6 +89,11 @@ LIFT = 3 * 2**61
 
 class InternalSolverError(RuntimeError):
     """A solver invariant broke mid-run; the result would be untrustworthy."""
+
+
+def _mask_pairs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of a mask's True entries, row-major; a 2-D np.nonzero costs more."""
+    return divmod(np.flatnonzero(mask), mask.shape[1])
 
 
 @dataclass
@@ -162,30 +167,7 @@ class CapacitatedMatching:
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(zip(*(x.tolist() for x in np.nonzero(self.matched)), strict=True))
-
-
-@dataclass(frozen=True)
-class AlternatingForest:
-    """Snapshot of one augmenting search, built on first read of
-    ``AugmentingPath.forest``.
-
-    ``dist`` holds reduced-cost distances from the root over node ids
-    0..s-1 (rows), s..s+t-1 (columns), s+t (pool); INF marks unreached.
-    ``parent`` holds each reached node's predecessor (-1 for none), the
-    first settled node whose relax gave it its distance, and ``settled``
-    the nodes whose distance is final: those the search took off its
-    queue by least distance, and the terminal, which it settles without
-    that pick once the terminal ties the distance just settled.
-    """
-
-    root: CopyRef
-    orientation: str  # "row" (phase 1) or "col" (phase 2)
-    dist: tuple[int, ...]
-    parent: tuple[int, ...]
-    settled: tuple[bool, ...]
-    terminal: int  # node id where the search finished
-    terminal_dist: int
+        return tuple(zip(*(x.tolist() for x in _mask_pairs(self.matched))))
 
 
 @dataclass(frozen=True)
@@ -194,12 +176,14 @@ class AugmentingPath:
     ids (rows 0..s-1, columns s..s+t-1, pool s+t) it passes in arc
     direction: root -> leaf from a row, pool -> root from a column.
 
-    A path from ``grow_forest`` also carries ``s``, its search's own
-    arrays (``dist``, ``parent``, ``settled``) and the ``terminal`` node
-    where it finished.  Nothing writes them after the search returns, so
-    ``apply_potentials`` reads ``dist`` directly, and ``steps`` and
-    ``forest``, built from them on first read, read the same late as at
-    once.  A hand-built path has neither view.
+    A path from ``grow_forest`` also carries ``s``, the ``terminal`` node
+    where its search finished and the search's arrays over node ids:
+    ``dist``, reduced-cost distance from the root (INF if unreached);
+    ``parent``, -1 or the first settled node whose relax gave that
+    distance; ``settled``, whether the distance is final.  Nothing writes
+    them once the search returns, so they, and ``steps`` and ``forest``
+    built from them on first read, read the same late as at once.  A
+    hand-built path has none of them.
     """
 
     root: int
@@ -226,21 +210,10 @@ class AugmentingPath:
         return tuple(steps)
 
     @cached_property
-    def forest(self) -> AlternatingForest:
-        return AlternatingForest(
-            root=_copy_ref(self.root, self.s),
-            orientation="row" if self.root < self.s else "col",
-            dist=tuple(self.dist.tolist()),
-            parent=tuple(self.parent.tolist()),
-            settled=tuple(self.settled.tolist()),
-            terminal=self.terminal,
-            terminal_dist=int(self.dist[self.terminal]),
-        )
-
-
-def _copy_ref(v: int, s: int) -> CopyRef:
-    """Node ``v``'s demand copy, ``("a", i)`` or ``("b", j)``."""
-    return ("a", v) if v < s else ("b", v - s)
+    def forest(self) -> SimpleNamespace:
+        """``settled`` as plain bools, which the benchmark tracer sums and
+        JSON-encodes; it and ``steps`` go once the tracer reads the arrays."""
+        return SimpleNamespace(settled=tuple(self.settled.tolist()))
 
 
 @dataclass(frozen=True)
@@ -517,11 +490,11 @@ def grow_forest(state: SolverState, root: int) -> AugmentingPath:
     pool = s + t
     if not 0 <= root < pool:
         raise ValueError(f"roots must be demand copies of rows or columns, got node {root!r}")
-    ref = _copy_ref(root, s)
+    forward = root < s
+    ref = ("a", root) if forward else ("b", root - s)
     m = state.matching
     if not m.unmet(root):
         raise ValueError(f"root {ref!r} is not a free demand copy")
-    forward = root < s
     g, x0, y0 = (m.lifted, 0, s) if forward else (m.lifted.T, s, 0)
     nx, ny = g.shape
     side_x, side_y = slice(x0, x0 + nx), slice(y0, y0 + ny)
@@ -884,8 +857,7 @@ def _set_start(state: SolverState, pick: np.ndarray, p: np.ndarray, q: np.ndarra
     """
     m, s = state.matching, state.s
     m.matched |= pick
-    # flatnonzero and divmod: a 2-D np.nonzero costs several times more.
-    rows, cols = divmod(np.flatnonzero(pick), state.t)
+    rows, cols = _mask_pairs(pick)
     m.lifted[rows, cols] += LIFT
     cols += s
     ends = np.concatenate((rows, cols))
@@ -911,7 +883,7 @@ def _prune_unneeded_pairs(state: SolverState) -> int:
     """
     m, s = state.matching, state.s
     removed = 0
-    for i, j in zip(*(x.tolist() for x in np.nonzero(m.droppable())), strict=True):
+    for i, j in zip(*(x.tolist() for x in _mask_pairs(m.droppable()))):
         if m.deg[i] > m.demand[i] and m.deg[s + j] > m.demand[s + j]:
             if m.cost[i, j] != 0:
                 raise InternalSolverError(
@@ -936,10 +908,9 @@ def _check_output(state: SolverState) -> None:
         raise InternalSolverError("degree counters disagree with the matched pairs")
     if np.any((m.deg < m.demand) | (m.deg > m.capacity)):
         raise InternalSolverError("a vertex degree is outside its bounds")
-    both = m.droppable()
-    if both.any():
-        i, j = np.argwhere(both)[0]
-        raise InternalSolverError(f"pair ({i}, {j}) is above demand on both sides")
+    rows, cols = _mask_pairs(m.droppable())
+    if rows.size:
+        raise InternalSolverError(f"pair ({rows[0]}, {cols[0]}) is above demand on both sides")
 
 
 def _solve(

@@ -398,3 +398,17 @@ def test_normalize_idempotent_on_random_instances(data):
     once = normalize_instance(fixture)
     assert normalize_instance(once) == once
     assert once.a_demand == fixture.a_demand and once.b_demand == fixture.b_demand
+
+
+def test_public_names_resolve():
+    # Every exported name is an attribute of its module, so
+    # ``from bmatch import *`` cannot break on a stale entry.
+    import bmatch
+    from bmatch import expansion, hungarian, model, oracles, solver
+
+    for module in (bmatch, solver, model, oracles, expansion, hungarian):
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)
+    namespace = {}
+    exec("from bmatch import *", namespace)
+    assert set(bmatch.__all__) <= set(namespace)

@@ -5,7 +5,6 @@ hand analysis; each one broke (or would break) a simpler augmenting
 strategy, so they are frozen verbatim.
 """
 
-import dataclasses
 import hashlib
 import json
 import random
@@ -34,6 +33,22 @@ from bmatch.solver import INF, LIFT
 
 def inst(c, ad, ac, bd, bc):
     return Instance.from_lists(cost=c, a_demand=ad, a_capacity=ac, b_demand=bd, b_capacity=bc)
+
+
+def _search(path):
+    """The search behind a ``grow_forest`` path, read off the path's own
+    arrays as plain Python values; ``vars`` of it is the record the search
+    digests hash."""
+    s = path.s
+    return types.SimpleNamespace(
+        root=("a", path.root) if path.root < s else ("b", path.root - s),
+        orientation="row" if path.root < s else "col",
+        dist=tuple(path.dist.tolist()),
+        parent=tuple(path.parent.tolist()),
+        settled=tuple(path.settled.tolist()),
+        terminal=path.terminal,
+        terminal_dist=int(path.dist[path.terminal]),
+    )
 
 
 def _leaf(path):
@@ -185,7 +200,7 @@ class TestSearchPrimitives:
         assert (path.root, path.nodes) == (0, (0, 1))
         assert path.steps == (("match", 0, 0),)
         assert _leaf(path) == ("b", 0) and path.nodes[-1] != 1 + 2
-        assert path.forest.terminal_dist == 0
+        assert _search(path).terminal_dist == 0
 
     def test_grow_rejects_saturated_root(self):
         st = self.state()
@@ -210,12 +225,12 @@ class TestSearchPrimitives:
         assert (path.root, path.nodes) == (2, (3, 0, 2))  # pool -> row 0 -> column 1
         assert _leaf(path) == ("a'", 0) and path.nodes[-1] != 1 + 2
         assert path.steps == (("feed", 0), ("match", 0, 1))
-        assert path.forest.orientation == "col"
+        assert _search(path).orientation == "col"
 
-    def test_forest_records_the_search(self):
+    def test_path_arrays_record_the_search(self):
         st = self.state()
         path = grow_forest(st, 0)
-        f = path.forest
+        f = _search(path)
         assert len(f.dist) == len(f.parent) == len(f.settled) == 1 + 2 + 1  # rows, columns, pool
         assert f.settled[0] and f.dist[0] == 0  # the root row
         assert f.terminal == 1 and f.parent[1] == 0  # b0, reached from a0
@@ -228,9 +243,9 @@ class TestSearchPrimitives:
         assert m.pairs == ((0, 0),)
         assert list(m.deg - m.extra) == [1, 1, 0] and list(m.extra) == [0, 0, 0]
 
-    def test_forest_and_steps_are_plain_python_values(self):
-        # Trace consumers sum and serialize these fields; numpy scalars
-        # would break json.dumps.
+    def test_tracer_views_are_plain_python_values(self):
+        # The benchmark tracer sums and serializes path.forest.settled and
+        # reads path.steps; numpy scalars would break json.dumps.
         def plain(x):
             if isinstance(x, tuple):
                 return all(plain(y) for y in x)
@@ -241,12 +256,11 @@ class TestSearchPrimitives:
         augment(st.matching, row)
         col = grow_forest(st, 2)
         for path in (row, col):
-            f = path.forest
-            for field in dataclasses.fields(f):
-                assert plain(getattr(f, field.name)), field.name
+            settled = path.forest.settled
+            assert vars(path.forest) == {"settled": settled}
+            assert all(type(x) is bool for x in settled) and settled == tuple(path.settled.tolist())
             assert plain(path.steps) and plain(path.nodes) and plain(path.root)
-            assert json.loads(json.dumps(sum(f.settled))) == sum(f.settled)
-        assert (row.forest.orientation, col.forest.orientation) == ("row", "col")
+            assert json.loads(json.dumps(sum(settled))) == sum(settled) == int(path.settled.sum())
 
     def test_state_construction_rejects_unservable_vertex(self):
         with pytest.raises(ValueError):
@@ -262,6 +276,16 @@ def test_output_check_catches_broken_counters():
     demanding = SolverState(inst([[2, 3]], [1], [2], [0, 0], [1, 1]))
     with pytest.raises(InternalSolverError, match="outside its bounds"):
         solver_module._check_output(demanding)
+
+
+def test_output_check_names_the_first_droppable_pair_in_row_major_order():
+    # Every demand is 0, so each of the three pairs is above demand on
+    # both of its sides.  Column-major order would name (1, 0) first.
+    st = SolverState(inst([[0, 0], [0, 0]], [0, 0], [2, 2], [0, 0], [2, 2]))
+    for i, j in ((1, 0), (1, 1), (0, 1)):
+        st.matching.flip(i, j, 1)
+    with pytest.raises(InternalSolverError, match=r"^pair \(0, 1\) is above demand on both sides$"):
+        solver_module._check_output(st)
 
 
 def _free_state():
@@ -425,7 +449,7 @@ def test_search_after_another_equals_search_on_fresh_state():
             path = grow_forest(state, root)
         except InfeasibleInstanceError as err:
             return ("stuck", err.root, err.reached)
-        return (path.forest, path.nodes, path.steps, _leaf(path))
+        return (_search(path), path.nodes, path.steps, _leaf(path))
 
     rng = random.Random(0xF7E5)
     firsts = set()
@@ -556,11 +580,11 @@ def test_partner_record_follows_every_pair_flip(monkeypatch, rng):
     assert solved >= 150 and pruned >= 1 and min(starts.values()) >= 40, (solved, pruned, starts)
 
 
-def test_forest_read_late_equals_forest_read_at_once(monkeypatch):
-    # Two identical solves in lockstep.  One reads each path's forest as
-    # grow_forest returns; the other reads them only after the solve, by
-    # which time later augmentations and dual updates have changed the
-    # matching and the potentials the forest was computed from.
+def test_search_arrays_read_late_equal_arrays_read_at_once(monkeypatch):
+    # Two identical solves in lockstep.  One copies each path's search
+    # arrays as grow_forest returns; the other reads them only after the
+    # solve, by which time later augmentations and dual updates have
+    # changed the matching and the potentials the search ran on.
     # The column start places 4 pairs; two row searches and two column
     # searches place the rest.
     fixture = inst(
@@ -570,22 +594,22 @@ def test_forest_read_late_equals_forest_read_at_once(monkeypatch):
     original = solver_module.grow_forest
 
     def solve_recording(read_at_once):
-        paths, forests = [], []
+        paths, copies = [], []
 
         def recording(state, root):
             path = original(state, root)
             paths.append(path)
             if read_at_once:
-                forests.append(path.forest)
+                copies.append(_search(path))
             return path
 
         monkeypatch.setattr(solver_module, "grow_forest", recording)
         _, rep = solve_ga(fixture)
-        return paths, forests, rep
+        return paths, copies, rep
 
     _, at_once, rep = solve_recording(True)
     paths, _, _ = solve_recording(False)
-    late = [path.forest for path in paths]
+    late = [_search(path) for path in paths]
     assert rep.dual_updates >= 3 and rep.phase2_augmentations - rep.warm_start_pairs == 2
     assert [f.orientation for f in late] == ["row", "row", "col", "col"]
     assert late == at_once
@@ -669,8 +693,8 @@ def test_outputs_are_pinned():
     assert digests == (PINNED_OUTPUTS, PINNED_UNIT_OUTPUTS, PINNED_ROW0_OUTPUTS), digests
 
 
-# sha256 of every search of the seeded corpus below: each forest snapshot
-# with its path's steps and leaf, or a stuck search's root and reached
+# sha256 of every search of the seeded corpus below: each search's record
+# (see _search) with its path's steps and leaf, or a stuck search's root and reached
 # set, bucketed as PINNED_OUTPUTS is.  It pins the settle
 # order and tie-breaks inside grow_forest, which PINNED_OUTPUTS sees only
 # through the answers.  A change to the search loop must leave it as it
@@ -697,7 +721,7 @@ def test_searches_are_pinned(monkeypatch):
             records[bucket].append(["stuck", list(err.root), list(err.reached)])
             seen.add("stuck")
             raise
-        f = path.forest
+        f = _search(path)
         pool = state.s + state.t
         for v, done in enumerate(f.settled):
             if done and v != root:
@@ -707,7 +731,7 @@ def test_searches_are_pinned(monkeypatch):
             seen.add("pool finish")
         if f.settled[pool] and f.terminal != pool:
             seen.add("pool pass-through")  # the pool did not end it: no park budget left
-        records[bucket].append([dataclasses.asdict(f), [list(op) for op in path.steps], list(_leaf(path))])
+        records[bucket].append([vars(f), [list(op) for op in path.steps], list(_leaf(path))])
         return path
 
     monkeypatch.setattr(solver_module, "grow_forest", recording)
@@ -757,12 +781,12 @@ def test_relax_branches_cover_every_partner_count(monkeypatch):
         except InfeasibleInstanceError as err:
             records.append(["stuck", list(err.root), list(err.reached)])
             raise
-        f, s = path.forest, state.s
+        f, s = _search(path), state.s
         side_y = range(s, s + state.t) if f.orientation == "row" else range(s)
         for y in side_y:
             if f.settled[y] and y != f.terminal:
                 counts[f.orientation, min(int(deg[y]), 2)] += 1
-        records.append([dataclasses.asdict(f), [list(op) for op in path.steps], list(_leaf(path))])
+        records.append([vars(f), [list(op) for op in path.steps], list(_leaf(path))])
         return path
 
     monkeypatch.setattr(solver_module, "grow_forest", counting)
@@ -1490,7 +1514,7 @@ def test_row_search_finishes_at_a_short_column_tied_with_its_root():
     # (0, 0), then short column 1: four settles and a three-step path.
     fixture = inst([[0, 0, 9], [0, 5, 0]], [1, 1], [2, 2], [1, 1, 1], [1, 1, 1])
     path = _searched(fixture, [0, 1])
-    f = path.forest
+    f = _search(path)
     assert (f.terminal, f.terminal_dist, sum(f.settled)) == (4, 0, 2)
     assert path.nodes == (1, 4) and _leaf(path) == ("b", 2)
     assert path.steps == (("match", 1, 2),)
@@ -1502,7 +1526,7 @@ def test_row_search_with_park_budget_finishes_at_the_pool_once_it_ties():
     # the pool settles next instead of after columns 1 to 3.
     fixture = inst([[0, 0, 0, 0]], [1], [2], [0, 0, 0, 0], [1, 1, 1, 1])
     path = _searched(fixture, [0])
-    f = path.forest
+    f = _search(path)
     assert (f.terminal, f.terminal_dist, sum(f.settled)) == (5, 0, 3)
     assert path.nodes[-1] == 1 + 4 and path.nodes == (0, 1, 5) and _leaf(path) == ("b'", 0)
     assert path.steps == (("match", 0, 0), ("park", 0))
@@ -1514,7 +1538,7 @@ def test_column_search_finishes_at_the_pool_once_it_ties():
     # 2 to 4.
     fixture = inst([[0, 9], [0, 0], [0, 0], [0, 0], [0, 0]], [1, 0, 0, 0, 0], [1] * 5, [1, 1], [2, 2])
     path = _searched(fixture, [0, 6])
-    f = path.forest
+    f = _search(path)
     assert (f.orientation, f.terminal, f.terminal_dist, sum(f.settled)) == ("col", 7, 0, 3)
     assert path.nodes == (7, 1, 6) and path.nodes[-1] != 5 + 2 and _leaf(path) == ("a'", 1)
     assert path.steps == (("feed", 1), ("match", 1, 1))
@@ -1532,7 +1556,7 @@ def test_row_search_with_park_budget_finishes_through_the_first_pool_relax():
     state.r[:] = [1, 0, 1]
     state.check_dual_invariants()
     path = grow_forest(state, 0)
-    f = path.forest
+    f = _search(path)
     assert (f.terminal, f.terminal_dist, sum(f.settled), f.parent[3]) == (3, 1, 4, 2)
     assert path.nodes[-1] == 1 + 2 and path.nodes == (0, 2, 3) and _leaf(path) == ("b'", 1)
     assert path.steps == (("match", 0, 1), ("park", 1))
@@ -1547,7 +1571,7 @@ def test_column_search_finishes_through_the_first_pool_relax():
     # the same cost.
     fixture = inst([[2, 3], [0, 1], [3, 0]], [1, 1, 0], [2, 2, 2], [0, 3], [1, 3])
     path = _searched(fixture, [0, 1, 4])
-    f = path.forest
+    f = _search(path)
     assert (f.orientation, f.terminal, f.terminal_dist, sum(f.settled), f.parent[5]) == ("col", 5, 1, 5, 3)
     assert path.nodes == (5, 3, 0, 4) and _leaf(path) == ("b'", 0)
     assert path.steps == (("release", 0), ("unmatch", 0, 0), ("match", 0, 1))
@@ -1563,7 +1587,7 @@ def test_rows_the_pool_feeds_settle_together_and_finish_at_the_lowest_tight_row(
     # and the path is the same.
     state = SolverState(inst([[0, 5], [9, 0], [9, 0], [9, 0]], [1, 0, 0, 0], [1, 1, 1, 1], [0, 1], [1, 1]))
     path = grow_forest(state, 0)
-    f = path.forest
+    f = _search(path)
     assert (f.terminal, f.terminal_dist, sum(f.settled), f.parent[5]) == (5, 0, 7, 1)
     assert f.parent[1:4] == (6, 6, 6) and f.dist[1:4] == (0, 0, 0)
     assert path.nodes == (0, 4, 6, 1, 5) and _leaf(path) == ("b", 1)
@@ -1578,7 +1602,7 @@ def test_rows_the_pool_feeds_relax_each_column_from_the_lowest_row_at_its_minimu
         [[0, 5, 9], [9, 3, 0], [9, 2, 0], [9, 2, 0]], [1, 0, 0, 0], [1] * 4, [0, 1, 0], [1, 1, 1]
     )
     path = grow_forest(SolverState(fixture), 0)
-    f = path.forest
+    f = _search(path)
     assert (f.terminal, f.terminal_dist, sum(f.settled)) == (5, 2, 8)
     assert f.parent[4:] == (0, 2, 1, 4)  # columns 0 to 2, then the pool
     assert path.nodes == (0, 4, 7, 2, 5)
@@ -1599,7 +1623,7 @@ def test_tie_heavy_instances_without_park_budget_settle_fed_rows_together(monkey
 
     def counting(state, root):
         path = original(state, root)
-        f, s = path.forest, state.s
+        f, s = _search(path), state.s
         fed = [x for x in range(s) if f.settled[x] and f.parent[x] == state.s + state.t]
         dists = [f.dist[x] for x in fed]
         seen["together"] += any(dists.count(d) >= 2 for d in dists)
@@ -1637,7 +1661,7 @@ def test_tie_heavy_instances_match_the_flow_reference(monkeypatch):
 
     def finishing(state, root):
         path = original(state, root)
-        f = path.forest
+        f = _search(path)
         if f.terminal == state.s + state.t:
             u = f.parent[f.terminal]
             # Reduced cost of u's pool arc in the search's direction, read
