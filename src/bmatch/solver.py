@@ -85,6 +85,11 @@ INF = 2**62
 # so a relax through the lifted matrix pushes the pairs it may not use to
 # INF or above (see ``_check_exact_domain``).
 LIFT = 3 * 2**61
+# At most this many bidding rounds in ``_warm_start``.  Rounds that only
+# move held columns between rows go on while their ``q`` fall, by small
+# steps near the end; past about this many, searches place the last few
+# free rows of a 300x300 instance sooner.
+_BID_ROUNDS = 60
 
 
 class InternalSolverError(RuntimeError):
@@ -303,12 +308,18 @@ def _check_exact_domain(inst: Instance, c_max: int) -> None:
     ``r = (p, q)`` with the pool's at 0; then s = t = P = n, and no pool
     arc or phase 2 is used.  Its q only falls from the column minima, so
     each ``p[i] = min(c[i] - q)`` is >= 0.
-    Before any q falls every reduced cost is <= C; after, a free column
-    keeps its minimum as q and one exists while a row is free, so a free
-    row's cheapest reduced cost is <= C, and so is its second-cheapest
-    when the cheapest column is held.  Hence p <= C, and each lowered q,
-    c_ij less one of these, is >= -C.  A column that ends a path was free
-    since the warm start, so its label started in [-C, 0] and
+    Before any q falls every reduced cost is <= C.  A held column stays
+    held and only a held column's q falls, so a column still free when a
+    bidding round starts has its minimum as q, and one exists while a row
+    is free.  Every bid of a round reads the q at its start, so each
+    bidder's cheapest reduced cost is <= C, and so is its second-cheapest
+    when its cheapest column is held: the one case where its offer lowers
+    a q.  Hence each lowered q, c_ij less one of these (the reduction
+    transfer's included), is >= -C.  And p <= C: where column reduction
+    matched every row, each p is that row's second-smallest reduced cost
+    before the transfer; else some column was free when the last round
+    started, and it kept its minimum as q.  A column that ends a path was
+    free since the warm start, so its label started in [-C, 0] and
     D <= cost(path) as before.  Labels lie in [-C - S1, C], and every
     bound above holds with K = (P + 2)*C: (2n + 2)*C < 2**61 and
     n*n*K < 2**61 follow from the same check, as n*n*(3n + 1) is at least
@@ -710,14 +721,27 @@ def _warm_start(state: SolverState) -> int:
     reduction sets ``q`` to the column minima and gives each column,
     highest index first, to its lowest-index argmin row unless that row
     holds one already; a row holding exactly one column moves its
-    second-smallest reduced cost onto that column's ``q``.  Two passes of
-    augmenting row reduction follow, each at most s steps: a free row
-    takes its cheapest column.  If a row holds it, a strict minimum lowers
-    its ``q`` to the free row's second-smallest reduced cost and the
-    displaced row goes next; a tie takes the runner-up column instead and
-    its holder waits for the next pass.  Every matched row keeps a
-    cheapest column of ``c - q``, so ``p = min(c - q)`` per row is dual
-    feasible with tight matched pairs, as ``check_dual_invariants``
+    second-smallest reduced cost onto that column's ``q``.
+
+    Bidding rounds follow, at most ``_BID_ROUNDS``: Bertsekas's auction
+    with zero increment (*Annals of OR* 14, 1988), bid in Jacobi fashion,
+    every free row at once, where JV's augmenting row reduction bids one
+    row at a time.  A free row's cheapest reduced cost is u1, at column
+    j1, and its second-cheapest u2, at j2.  A strict row (u1 < u2) bids
+    for j1, offering to lower its ``q`` to ``c[i, j1] - u2``; a tied row
+    bids for j1 if it is free, else for j2, offering ``q`` as it stands.
+    Each column takes the lowest offer, ties to the lowest row, and its
+    holder goes free; only a held column's ``q`` falls, to the winning
+    offer.  The rounds stop once no row is free, or after a round that
+    placed no net pair and lowered no ``q``.
+
+    Every matched row keeps a cheapest column of ``c - q``.  A winner
+    holds one: each column has one winner, its own column sits at its u1
+    (or at u2 = u1 when tied, or at u2 once its offer lowers ``q``), and
+    the round's lowered ``q`` only raise its other reduced costs above
+    that.  A holder that no row displaced keeps its column's ``q``, and
+    its other reduced costs only rose.  So ``p = min(c - q)`` per row is
+    dual feasible with tight matched pairs, as ``check_dual_invariants``
     confirms.  Returns the number of pairs matched.
     """
     c, n = state.matching.cost, state.s
@@ -730,31 +754,33 @@ def _warm_start(state: SolverState) -> int:
     row_of = np.full(n, -1, dtype=np.int64)  # column -> row
     row_of[col_of[col_of >= 0]] = np.flatnonzero(col_of >= 0)
 
-    free = np.flatnonzero(col_of < 0).tolist()
-    for _ in range(2):
-        todo, free, k = free, [], 0
-        for _ in range(n):
-            if k == len(todo):
-                break
-            i = todo[k]
-            h = c[i] - q
-            j1 = int(h.argmin())
-            umin, h[j1] = int(h[j1]), INF
-            j2 = int(h.argmin())
-            strict, i0 = umin < h[j2], int(row_of[j1])
-            if strict and i0 >= 0:
-                q[j1] -= h[j2] - umin  # only a held column's q falls
-            elif i0 >= 0:
-                j1, i0 = j2, int(row_of[j2])
-            col_of[i], row_of[j1] = j1, i
-            if i0 >= 0:
-                col_of[i0] = -1
-                if strict:
-                    todo[k] = i0  # the displaced row goes next
-                    continue
-                free.append(i0)
-            k += 1
-        free += todo[k:]
+    # Column reduction matches the only row when n == 1, so a bidder always
+    # has a runner-up column.
+    for _ in range(_BID_ROUNDS):
+        free = np.flatnonzero(col_of < 0)
+        if not free.size:
+            break
+        h = c[free]  # the one |free| x n scratch array of a round
+        h -= q
+        at = np.arange(free.size)
+        j1 = h.argmin(axis=1)
+        u1 = h[at, j1]
+        h[at, j1] = INF
+        j2 = h.argmin(axis=1)
+        gap = h[at, j2] - u1
+        target = np.where((gap > 0) | (row_of[j1] < 0), j1, j2)
+        offer = q[target] - gap
+        order = np.lexsort((offer, target))  # stable: ties go to the lowest row
+        first = order[np.flatnonzero(np.diff(target[order], prepend=-1))]
+        won, cols, offer = free[first], target[first], offer[first]
+        holder = row_of[cols]
+        held = holder >= 0
+        lowered = offer[held] < q[cols[held]]
+        q[cols[held]] = offer[held]  # only a held column's q falls
+        col_of[holder[held]] = -1
+        col_of[won], row_of[cols] = cols, won
+        if held.all() and not lowered.any():
+            break
 
     rows = np.flatnonzero(col_of >= 0)
     pick = np.zeros((n, n), dtype=bool)
