@@ -7,13 +7,7 @@ unit-demand special case; ``oracles`` holds independent checkers used to
 validate them.
 """
 
-from .expansion import (
-    CopyRef,
-    ExpandedGraph,
-    WeightTransform,
-    build_expanded_graph,
-    transform_costs,
-)
+from .expansion import ExpandedGraph, WeightTransform, transform_costs
 from .hungarian import (
     DualState,
     PerfectMatching,
@@ -67,11 +61,9 @@ __all__ = [
     "compute_alpha_l",
     "apply_dual_update",
     "solve_max_weight_perfect",
-    "CopyRef",
     "WeightTransform",
     "ExpandedGraph",
     "transform_costs",
-    "build_expanded_graph",
     "CapacitatedMatching",
     "SolverState",
     "AugmentingPath",

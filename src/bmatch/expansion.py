@@ -1,16 +1,10 @@
-"""Vertex-splitting view of a bounded-degree instance, and the cost→weight flip.
+"""The cost→weight flip that puts a bmatch solve in the paper's terms.
 
-A row i that must take between ``a_demand[i]`` and ``a_capacity[i]`` partners
-is split into a *demand copy* (quota ``a_demand[i]``, must be fully matched)
-and a *surplus copy* (quota ``a_capacity[i] - a_demand[i]``, may be matched);
-columns are split the same way.  Every original pair (i, j) is usable between
-three of the four copy combinations — demand-demand, demand-surplus and
-surplus-demand — all carrying the same weight.  Surplus-surplus pairs are
-deliberately absent: with non-negative costs, an optimal solution that is
-edge-minimal never matches two slots that nobody demanded.
-
-Copies are quota counters, not materialized vertices, so the structure costs
-O(s + t) on top of the cost matrix.
+The paper splits each vertex into a demand copy and a surplus copy and
+runs the Hungarian method on weights.  A solve keeps the copies as
+counters on its matching (``CapacitatedMatching.extra`` and
+``.surplus``) and works on costs; this module holds the map between the
+two.
 
 Weights are transformed costs: W = offset - c with offset = max(c) + 1, so
 all weights are >= 1 and cheaper pairs are strictly heavier.  (A reciprocal
@@ -22,19 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Instance, _c_max, validate_instance
+from .model import Instance
 
-__all__ = [
-    "CopyRef",
-    "ExpandedGraph",
-    "WeightTransform",
-    "build_expanded_graph",
-    "transform_costs",
-]
-
-# A vertex copy is (group, index): group "a"/"b" are demand copies,
-# "a'"/"b'" the matching surplus copies.
-CopyRef = tuple[str, int]
+__all__ = ["ExpandedGraph", "WeightTransform", "transform_costs"]
 
 
 @dataclass(frozen=True)
@@ -53,14 +37,12 @@ class WeightTransform:
 
 @dataclass(frozen=True)
 class ExpandedGraph:
-    """Quota counters for the four copy groups, and the cost→weight transform."""
+    """An instance with its cost→weight transform.  Only
+    ``SolverState.graph`` builds one: acceptance criterion 6b reads a
+    solve's weights back through ``state.graph.transform``."""
 
     instance: Instance
     transform: WeightTransform
-    a_demand_quota: tuple[int, ...]
-    a_surplus_quota: tuple[int, ...]
-    b_demand_quota: tuple[int, ...]
-    b_surplus_quota: tuple[int, ...]
 
 
 def transform_costs(inst: Instance) -> tuple[tuple[tuple[int, ...], ...], WeightTransform]:
@@ -69,20 +51,3 @@ def transform_costs(inst: Instance) -> tuple[tuple[tuple[int, ...], ...], Weight
     tr = WeightTransform(c_max=c_max, offset=c_max + 1)
     weights = tuple(tuple(tr.to_weight(c) for c in row) for row in inst.cost)
     return weights, tr
-
-
-def build_expanded_graph(inst: Instance) -> ExpandedGraph:
-    """Split each vertex into demand and surplus copies with derived quotas."""
-    report = validate_instance(inst)
-    if not report.feasible_necessary:
-        raise ValueError("cannot expand an invalid instance: " + "; ".join(report.violations))
-    c_max = _c_max(inst)
-    return ExpandedGraph(
-        instance=inst,
-        transform=WeightTransform(c_max=c_max, offset=c_max + 1),
-        a_demand_quota=inst.a_demand,
-        a_surplus_quota=tuple(c - d for d, c in zip(inst.a_demand, inst.a_capacity)),
-        b_demand_quota=inst.b_demand,
-        b_surplus_quota=tuple(c - d for d, c in zip(inst.b_demand, inst.b_capacity)),
-    )
-

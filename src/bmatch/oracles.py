@@ -104,18 +104,23 @@ def brute_force_optimum(inst: Instance) -> Assignment:
         )
     n_masks = 1 << cells
     masks = np.arange(n_masks, dtype=np.int64)
-    bits = ((masks[:, None] >> np.arange(cells)) & 1).astype(np.int64)  # cell k = (k//t, k%t)
+    # bits[k] marks the subsets holding cell k = (k//t, k%t), one byte each.
+    bits = np.empty((cells, n_masks), dtype=np.uint8)
+    for k in range(cells):
+        bits[k] = (masks >> k) & 1
     flat = [c for row in inst.cost for c in row]
     if cells * max(map(abs, flat), default=0) < 2**63:
-        total = bits @ inst.costs.reshape(-1)
+        total = np.zeros(n_masks, dtype=np.int64)
+        for k, c in enumerate(inst.costs.reshape(-1)):
+            total += bits[k] * c
     else:
-        total = bits.astype(object) @ np.array(flat, dtype=object)
+        total = np.array(flat, dtype=object) @ bits.astype(object)
     ok = np.ones(n_masks, dtype=bool)
     for i in range(s):
-        deg = bits[:, i * t : (i + 1) * t].sum(axis=1)
+        deg = bits[i * t : (i + 1) * t].sum(axis=0)
         ok &= (deg >= inst.a_demand[i]) & (deg <= inst.a_capacity[i])
     for j in range(t):
-        deg = bits[:, j::t].sum(axis=1)
+        deg = bits[j::t].sum(axis=0)
         ok &= (deg >= inst.b_demand[j]) & (deg <= inst.b_capacity[j])
     if not ok.any():
         raise InfeasibleInstanceError("no subset of pairs satisfies the degree bounds")

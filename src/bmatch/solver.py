@@ -63,7 +63,7 @@ from typing import Callable
 
 import numpy as np
 
-from .expansion import CopyRef, ExpandedGraph, build_expanded_graph
+from .expansion import ExpandedGraph, WeightTransform
 from .model import Assignment, InfeasibleInstanceError, Instance, _c_max, normalize_instance
 
 __all__ = [
@@ -385,9 +385,9 @@ class SolverState:
 
     @property
     def graph(self) -> ExpandedGraph:
-        """The vertex-split referee view of ``inst``, built on every read;
-        nothing in a solve reads it."""
-        return build_expanded_graph(self.inst)
+        """``inst`` with the cost→weight transform that ``labels`` uses,
+        built from ``offset`` on every read; nothing in a solve reads it."""
+        return ExpandedGraph(self.inst, WeightTransform(c_max=self.offset - 1, offset=self.offset))
 
     def labels(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Weight-space vertex labels (shared by demand and surplus copies).
@@ -644,7 +644,7 @@ def grow_forest(state: SolverState, root: int) -> AugmentingPath:
     )
 
 
-def _stuck(state: SolverState, root: CopyRef, settled: np.ndarray) -> InfeasibleInstanceError:
+def _stuck(state: SolverState, root: tuple[str, int], settled: np.ndarray) -> InfeasibleInstanceError:
     s, t = state.s, state.t
     reached = tuple(
         [f"a{i}" for i in range(s) if settled[i]]

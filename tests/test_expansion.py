@@ -2,11 +2,8 @@ from collections import Counter
 
 import pytest
 
-from bmatch import (
-    Instance,
-    build_expanded_graph,
-    transform_costs,
-)
+from bmatch import Instance, InfeasibleInstanceError, solve_ga, transform_costs
+from bmatch.solver import SolverState
 
 
 def inst(c, ad, ac, bd, bc):
@@ -36,29 +33,35 @@ def test_transform_round_trips_and_is_positive():
             assert tr.to_weight(fixture.cost[i][j]) == w
 
 
+# The paper's copy quotas live on the matching: entry k of ``demand`` is
+# the demand copy's quota of vertex k (rows, then columns), and entry k
+# of ``surplus`` the surplus copy's, ``capacity - demand``.
+
+
 def test_quota_arithmetic():
-    g = build_expanded_graph(inst([[1], [1]], [1, 1], [2, 3], [2], [2]))
-    assert g.a_demand_quota == (1, 1)
-    assert g.a_surplus_quota == (1, 2)
-    assert g.b_demand_quota == (2,)
-    assert g.b_surplus_quota == (0,)
+    m = SolverState(inst([[1, 1, 1], [1, 1, 1]], [1, 1], [2, 3], [2, 1, 0], [2, 1, 2])).matching
+    assert m.demand.tolist() == [1, 1, 2, 1, 0]
+    assert m.capacity.tolist() == [2, 3, 2, 1, 2]
+    assert m.surplus.tolist() == [1, 2, 0, 0, 2]
 
 
 def test_quota_zero_surplus_when_demand_equals_capacity():
-    g = build_expanded_graph(inst([[1, 2], [3, 4]], [1, 1], [1, 1], [1, 1], [1, 1]))
-    assert g.a_surplus_quota == (0, 0)
-    assert g.b_surplus_quota == (0, 0)
+    m = SolverState(inst([[1, 2], [3, 4]], [1, 1], [1, 1], [1, 1], [1, 1])).matching
+    assert m.surplus.tolist() == [0, 0, 0, 0]
 
 
 def test_surplus_only_vertex_has_no_surplus_surplus_edge():
-    g = build_expanded_graph(inst([[5]], [0], [1], [0], [1]))
-    assert g.a_demand_quota == (0,) and g.b_demand_quota == (0,)
-    assert g.a_surplus_quota == (1,) and g.b_surplus_quota == (1,)
+    fixture = inst([[5]], [0], [1], [0], [1])
+    m = SolverState(fixture).matching
+    assert m.demand.tolist() == [0, 0] and m.surplus.tolist() == [1, 1]
+    # The only pair would join two surplus copies, so no answer uses it.
+    asg, _ = solve_ga(fixture)
+    assert asg.pairs == () and asg.total_cost == 0
 
 
 def test_build_rejects_invalid_instance():
-    with pytest.raises(ValueError, match="cannot expand"):
-        build_expanded_graph(inst([[1, 1]], [3], [3], [0, 0], [1, 1]))
+    with pytest.raises(InfeasibleInstanceError, match="cannot be satisfied"):
+        SolverState(inst([[1, 1]], [3], [3], [0, 0], [1, 1]))
 
 
 def test_solver_allocations_survive_projection(rng):

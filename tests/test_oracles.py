@@ -6,6 +6,7 @@ they get tested against hand-computed answers and against each other.
 
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -87,6 +88,20 @@ class TestBruteForce:
         big = inst([[1] * 7] * 3, [0] * 3, [7] * 3, [0] * 7, [3] * 7)
         with pytest.raises(ValueError, match="21 pair cells"):
             brute_force_optimum(big)
+
+    def test_full_budget_fits_in_memory(self):
+        # numpy reports its buffers to tracemalloc, so the peak is the same
+        # on every run: at 20 cells each subset bit takes one byte.
+        params = GenParams(min_s=4, max_s=4, min_t=5, max_t=5)
+        fixture = random_instance(params, random.Random(5))
+        tracemalloc.start()
+        try:
+            asg = brute_force_optimum(fixture)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20, peak
+        assert asg.total_cost == solve_flow_reference(fixture).total_cost
 
 
 class TestFlowNetwork:

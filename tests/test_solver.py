@@ -412,8 +412,8 @@ def test_augment_names_each_fault(message):
 
 
 def test_solves_build_no_expanded_graph(monkeypatch, rng):
-    # The copy view is a referee: a solve reads its bounds from the
-    # matching's arrays, and SolverState.graph builds the view on read.
+    # A solve reads its bounds from the matching's arrays, and
+    # SolverState.graph builds the view on read.
     def refuse(self, *args, **kwargs):
         raise AssertionError("a solve built an ExpandedGraph")
 
@@ -432,13 +432,18 @@ def test_solves_build_no_expanded_graph(monkeypatch, rng):
     assert graph.transform.offset == states[0].offset
 
 
-def test_matching_quotas_equal_the_copy_view(rng):
+def test_matching_quotas_equal_the_instance_bounds(rng):
+    # The matching's counters are the paper's copy quotas: a demand copy
+    # holds the demand, a surplus copy the capacity above it.
     for _ in range(60):
         state = SolverState(draw_feasible(rng, max_s=5, max_t=5, cap_max=4))
-        graph = expansion.build_expanded_graph(state.inst)
-        m = state.matching
-        assert m.demand.tolist() == [*graph.a_demand_quota, *graph.b_demand_quota]
-        assert m.surplus.tolist() == [*graph.a_surplus_quota, *graph.b_surplus_quota]
+        inst, m = state.inst, state.matching
+        demand = [*inst.a_demand, *inst.b_demand]
+        capacity = [*inst.a_capacity, *inst.b_capacity]
+        assert m.demand.tolist() == demand
+        assert m.capacity.tolist() == capacity
+        assert m.surplus.tolist() == [c - d for d, c in zip(demand, capacity)]
+        assert state.graph.transform == expansion.transform_costs(inst)[1]
 
 
 def test_search_after_another_equals_search_on_fresh_state():
