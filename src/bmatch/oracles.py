@@ -90,9 +90,13 @@ def brute_force_optimum(inst: Instance) -> Assignment:
     """Exhaustive minimum over every subset of pairs (s*t <= 20).
 
     Ties are broken by lexicographic order of the sorted pair tuple, so
-    the result is deterministic.  Subsets are priced exactly: in int64
-    when cells times the largest cost magnitude is below 2**63, so no
-    total can wrap, else in Python integers from the cost rows.  Raises
+    the result is deterministic.  Subsets are priced exactly, in int64
+    limbs of 31 bits, low first: below the top limb a cost c adds
+    ``(c >> 31*l) & (2**31 - 1)`` to limb l, at it the signed
+    ``c >> 31*l``.  With at most 58 bits left for the top limb and fewer
+    than 2**5 cells, no limb's sum can wrap; costs below 2**58 take one
+    limb.  Carries then put every limb but the top in [0, 2**31), so
+    totals order as their limbs do from the top down.  Raises
     ValueError beyond the budget and InfeasibleInstanceError when no
     subset satisfies the bounds.
     """
@@ -109,12 +113,17 @@ def brute_force_optimum(inst: Instance) -> Assignment:
     for k in range(cells):
         bits[k] = (masks >> k) & 1
     flat = [c for row in inst.cost for c in row]
-    if cells * max(map(abs, flat), default=0) < 2**63:
-        total = np.zeros(n_masks, dtype=np.int64)
-        for k, c in enumerate(inst.costs.reshape(-1)):
-            total += bits[k] * c
-    else:
-        total = np.array(flat, dtype=object) @ bits.astype(object)
+    width = max((abs(c).bit_length() for c in flat), default=0)
+    n_limbs = 1 + max(0, -(-(width - 58) // 31))
+    limbs = np.zeros((n_limbs, n_masks), dtype=np.int64)
+    for k, c in enumerate(flat):
+        for l in range(n_limbs):
+            part = c >> 31 * l if l == n_limbs - 1 else (c >> 31 * l) & (2**31 - 1)
+            if part:
+                limbs[l] += bits[k] * np.int64(part)
+    for l in range(n_limbs - 1):
+        limbs[l + 1] += limbs[l] >> 31
+        limbs[l] &= 2**31 - 1
     ok = np.ones(n_masks, dtype=bool)
     for i in range(s):
         deg = bits[i * t : (i + 1) * t].sum(axis=0)
@@ -124,8 +133,10 @@ def brute_force_optimum(inst: Instance) -> Assignment:
         ok &= (deg >= inst.b_demand[j]) & (deg <= inst.b_capacity[j])
     if not ok.any():
         raise InfeasibleInstanceError("no subset of pairs satisfies the degree bounds")
-    best = int(total[ok].min())
-    tied = np.nonzero(ok & (total == best))[0]
+    for limb in limbs[::-1]:
+        ok &= limb == limb[ok].min()
+    tied = np.flatnonzero(ok)
+    best = sum(int(limb[tied[0]]) << 31 * l for l, limb in enumerate(limbs))
 
     def pairs_of(mask: int) -> tuple[tuple[int, int], ...]:
         return tuple((k // t, k % t) for k in range(cells) if mask >> k & 1)

@@ -34,7 +34,10 @@ sides:
   or — when the rows' unmet demand exceeds the columns' — into spare
   column capacity ("parking").
 * Phase 2 roots at every column whose demand is still unmet and searches
-  backward to the pool, entering through spare row capacity.
+  backward to the pool, entering through spare row capacity.  On an
+  all-unit instance whose bidding rounds ran out with rows still free,
+  phase 1 is skipped: phase 2 roots at the free columns, and each search
+  ends at a free row, as a phase-1 search ends at a short column.
 
 Both phases run one search, ``grow_forest``: phase 2 is the phase-1
 Dijkstra run on the reversed residual graph, with rows and columns
@@ -179,7 +182,8 @@ class CapacitatedMatching:
 class AugmentingPath:
     """One cheapest augmentation from demand copy ``root``, as the node
     ids (rows 0..s-1, columns s..s+t-1, pool s+t) it passes in arc
-    direction: root -> leaf from a row, pool -> root from a column.
+    direction: root -> leaf from a row, leaf -> root from a column, whose
+    leaf is the pool or a row short of demand.
 
     A path from ``grow_forest`` also carries ``s``, the ``terminal`` node
     where its search finished and the search's arrays over node ids:
@@ -234,6 +238,8 @@ class SolveReport:
     wall_time_ms: float
     # Units a warm start placed, not a search: phase-1 units on all-unit
     # instances (_warm_start), phase-2 units on every other one (_column_start).
+    # An all-unit instance whose bidding rounds ran out places the rest from
+    # column roots, which count as phase-2 units.
     warm_start_pairs: int = 0
 
 
@@ -306,7 +312,7 @@ def _check_exact_domain(inst: Instance, c_max: int) -> None:
 
     When every bound is 1, ``_warm_start`` sets the first labels,
     ``r = (p, q)`` with the pool's at 0; then s = t = P = n, and no pool
-    arc or phase 2 is used.  Its q only falls from the column minima, so
+    arc is used.  Its q only falls from the column minima, so
     each ``p[i] = min(c[i] - q)`` is >= 0.
     Before any q falls every reduced cost is <= C.  A held column stays
     held and only a held column's q falls, so a column still free when a
@@ -324,6 +330,17 @@ def _check_exact_domain(inst: Instance, c_max: int) -> None:
     bound above holds with K = (P + 2)*C: (2n + 2)*C < 2**61 and
     n*n*K < 2**61 follow from the same check, as n*n*(3n + 1) is at least
     2n + 2 and n*n*(n + 2).
+
+    Where the rounds ran out with rows still free, every search roots at
+    a free column instead, and each update raises every label by
+    min(dist, D), the mirror of phase 1.  Every row still free is a
+    possible finish, so its dist is at least D and it rises by exactly D:
+    a row that ends a path was free since the warm start, so it sits at
+    its p, which is >= 0, plus S2, the sum of D so far.  The root column
+    was free since the warm start too: it started in [-C, 0] and has
+    risen by at most S2.  Hence D <= cost(path) - p <= cost(path), S2 is
+    at most the cost these searches add to the start's matching, labels
+    lie in [-C, C + S2], and the same K = (P + 2)*C holds.
 
     On every other instance ``_column_start`` sets the first labels,
     ``r = (p, q)`` again, with the pool's at 0.  Each q[j] is a cost or 0,
@@ -467,11 +484,14 @@ def grow_forest(state: SolverState, root: int) -> AugmentingPath:
 
     Row roots (phase 1) search forward toward a column that still needs
     partners, spare column capacity, or a returnable optional row match;
-    column roots (phase 2) search backward to the pool through spare row
-    capacity.  A search ends as soon as a finish ties the distance it
-    has just settled (the early exit of Jonker & Volgenant's scan step,
-    *Computing* 38, 1987): a short column, lowest index first, before the
-    pool.  The other nodes at that distance stay unsettled.  A pool
+    column roots (phase 2) search backward toward a row that still needs
+    partners, or to the pool through spare row capacity.  A column root
+    meets a short row only on an all-unit instance (see ``_warm_start``):
+    elsewhere phase 2 starts once every row demand is met.  A search ends
+    as soon as a finish ties the distance it has just settled (the early
+    exit of Jonker & Volgenant's scan step, *Computing* 38, 1987): the
+    lowest short node on the far side, before the pool.  The other nodes
+    at that distance stay unsettled.  A pool
     finish takes the arc its relax recorded, from the pool's parent (any
     shortest path will do: the dual update reads distances only).  When
     that tie check's pick is a row the pool fed (a row root with no park
@@ -514,10 +534,11 @@ def grow_forest(state: SolverState, root: int) -> AugmentingPath:
     # surplus slot the pool can feed.
     ret, spare = m.extra > 0, m.extra < m.surplus
     x_ret, y_spare = ret[side_x], spare[side_y]
-    # Columns that still need partners; a column root finishes only at the pool.
-    y_short = (m.deg - m.extra < m.demand)[side_y] & forward
+    # Far-side nodes that still need partners: columns from a row root,
+    # rows from a column root (none once phase 1 has met every row demand).
+    y_short = (m.deg - m.extra < m.demand)[side_y]
     pool_ends = m.parks_left > 0 or not forward
-    short = np.flatnonzero(y_short)  # empty on every column root
+    short = np.flatnonzero(y_short)
 
     # cand holds each reached, unsettled node's tentative distance and INF
     # elsewhere, so one argmin picks each settle; relaxes write through each
@@ -554,9 +575,9 @@ def grow_forest(state: SolverState, root: int) -> AugmentingPath:
         if dv == level:
             # The pick ties the settle just done, which may have put a
             # finish at dv: if so, that finish settles instead and ends
-            # the search, the lowest short column before the pool.  No
-            # unsettled node has a cand below dv, so the path through
-            # it is a shortest one.
+            # the search, the lowest short far-side node before the
+            # pool.  No unsettled node has a cand below dv, so the path
+            # through it is a shortest one.
             k = int(short[cand_y[short].argmin()]) if short.size else -1
             if k >= 0 and cand_y[k] == dv:
                 v = y0 + k
@@ -609,13 +630,13 @@ def grow_forest(state: SolverState, root: int) -> AugmentingPath:
             nd = g[x] - ry  # matched pairs: INF or above
             nd += dv - rx[x]
             relax(on_y, nd, v)
-            level = dv  # side Y holds the short columns, if any
+            level = dv  # side Y holds the short nodes, if any
             if x_ret[x]:
                 relax_pool(dv - int(rx[x]), v)
         else:
             y = v - y0
             if y_short[y]:
-                break  # a column that still needs partners: finish here
+                break  # a far-side node that still needs partners: finish here
             # Only v's partners can come in under INF: none to relax at
             # degree 0, one scalar entry at degree 1.
             k = deg.item(v)
@@ -713,7 +734,7 @@ def _vertex(v: int, s: int) -> str:
     return f"row {v}" if v < s else f"column {v - s}"
 
 
-def _warm_start(state: SolverState) -> int:
+def _warm_start(state: SolverState) -> tuple[int, bool]:
     """Match most rows without a search when every bound is 1.
 
     Jonker & Volgenant's start (*Computing* 38, 1987) under reduced cost
@@ -742,7 +763,16 @@ def _warm_start(state: SolverState) -> int:
     that.  A holder that no row displaced keeps its column's ``q``, and
     its other reduced costs only rose.  So ``p = min(c - q)`` per row is
     dual feasible with tight matched pairs, as ``check_dual_invariants``
-    confirms.  Returns the number of pairs matched.
+    confirms.
+
+    Returns the number of pairs matched and whether the rounds ran all
+    ``_BID_ROUNDS`` and left rows free.  Rounds that run that long have
+    lowered ``q`` on the columns rows fought over, so the rows left free
+    have just lost a price war and a search from one settles most of
+    the instance; a free column, which no row bid for, reaches a free
+    row far sooner, so ``_solve`` then roots the searches at the free
+    columns.  Rounds that stall on ties lower no ``q``, and there the
+    rows stay the cheaper side to search from.
     """
     c, n = state.matching.cost, state.s
     q, argmin = c.min(axis=0), c.argmin(axis=0)
@@ -756,6 +786,7 @@ def _warm_start(state: SolverState) -> int:
 
     # Column reduction matches the only row when n == 1, so a bidder always
     # has a runner-up column.
+    capped = False
     for _ in range(_BID_ROUNDS):
         free = np.flatnonzero(col_of < 0)
         if not free.size:
@@ -781,11 +812,13 @@ def _warm_start(state: SolverState) -> int:
         col_of[won], row_of[cols] = cols, won
         if held.all() and not lowered.any():
             break
+    else:
+        capped = bool((col_of < 0).any())
 
     rows = np.flatnonzero(col_of >= 0)
     pick = np.zeros((n, n), dtype=bool)
     pick[rows, col_of[rows]] = True
-    return _set_start(state, pick, (c - q).min(axis=1), q)
+    return _set_start(state, pick, (c - q).min(axis=1), q), capped
 
 
 def _column_start(state: SolverState) -> int:
@@ -942,10 +975,12 @@ def _check_output(state: SolverState) -> None:
 def _solve(
     state: SolverState, algorithm: str, observer: Callable[[SolverState], None] | None, t0: float
 ) -> tuple[Assignment, SolveReport]:
-    m = state.matching
+    m, s = state.matching, state.s
     placed = [0, 0]  # units placed from row roots (phase 1) and column roots (phase 2)
+    from_columns = False
     if np.all(m.demand == 1) and np.all(m.capacity == 1):
-        warm = placed[0] = _warm_start(state)
+        warm, from_columns = _warm_start(state)
+        placed[0] = warm
     else:
         warm = placed[1] = _column_start(state)
     if warm and observer is not None:
@@ -953,13 +988,18 @@ def _solve(
 
     # Phase 1 roots at the rows in index order, then phase 2 at the columns.
     # Only a path's two ends raise a demand count, and nothing lowers one,
-    # so every root is short of demand once the start is done.
-    for root in np.flatnonzero(m.deg - m.extra < m.demand).tolist():
+    # so every root is short of demand once the start is done.  Where the
+    # bidding rounds ran out, each search roots at a free column instead
+    # and ends at a free row, so the free rows need no search of their own.
+    roots = np.flatnonzero(m.deg - m.extra < m.demand)
+    if from_columns:
+        roots = roots[roots >= s]
+    for root in roots.tolist():
         while m.unmet(root):
             path = grow_forest(state, root)
             augment(m, path)
             state.apply_potentials(path)
-            placed[root >= state.s] += 1
+            placed[root >= s] += 1
             if observer is not None:
                 observer(state)
 

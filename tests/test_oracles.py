@@ -103,6 +103,27 @@ class TestBruteForce:
         assert peak < 100 * 2**20, peak
         assert asg.total_cost == solve_flow_reference(fixture).total_cost
 
+    def test_full_budget_beyond_int64_fits_in_memory(self):
+        # Costs near 2**62: 20 cells of them can total past 2**63, so the
+        # totals take two limbs, and the peak stays that of the bits.
+        params = GenParams(min_s=4, max_s=4, min_t=5, max_t=5)
+        bounds = random_instance(params, random.Random(5))
+        rng = random.Random(61)
+        fixture = Instance.from_lists(
+            cost=[[rng.randint(2**61, 2**62) for _ in range(5)] for _ in range(4)],
+            a_demand=bounds.a_demand, a_capacity=bounds.a_capacity,
+            b_demand=bounds.b_demand, b_capacity=bounds.b_capacity,
+        )
+        tracemalloc.start()
+        try:
+            asg = brute_force_optimum(fixture)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20, peak
+        assert asg.total_cost >= 2**63
+        assert asg.total_cost == solve_flow_reference(fixture).total_cost
+
 
 class TestFlowNetwork:
     def test_structure(self):

@@ -53,11 +53,11 @@ def _search(path):
 
 def _leaf(path):
     """The copy where a search's path ends, as ``(side, index)``: the short
-    column ``("b", j)`` it finished at, or, on a pool finish, the surplus
-    copy ``("a'", i)`` or ``("b'", j)`` next to the pool."""
-    s, pool = path.s, len(path.dist) - 1
-    if path.terminal != pool:
-        return ("b", path.terminal - s)
+    column ``("b", j)`` or row ``("a", i)`` it finished at, or, on a pool
+    finish, the surplus copy ``("a'", i)`` or ``("b'", j)`` next to the pool."""
+    s, pool, v = path.s, len(path.dist) - 1, path.terminal
+    if v != pool:
+        return ("a", v) if v < s else ("b", v - s)
     u = int(path.parent[pool])
     return ("a'", u) if u < s else ("b'", u - s)
 
@@ -446,9 +446,23 @@ def test_matching_quotas_equal_the_instance_bounds(rng):
         assert state.graph.transform == expansion.transform_costs(inst)[1]
 
 
+def _advanced(fixture, steps):
+    """A state for ``fixture`` after its first ``steps`` augmentations,
+    each rooted at the lowest node still short of demand, with no warm
+    start."""
+    state = SolverState(fixture)
+    for _ in range(steps):
+        root = next(v for v in range(state.s + state.t) if state.matching.unmet(v))
+        path = grow_forest(state, root)
+        augment(state.matching, path)
+        state.apply_potentials(path)
+    return state
+
+
 def test_search_after_another_equals_search_on_fresh_state():
     # A search that follows another one on the same state, stuck or not,
-    # returns what the same search returns on a fresh state.
+    # returns what the same search returns on a fresh state with the same
+    # matching and duals.
     def outcome(state, root):
         try:
             path = grow_forest(state, root)
@@ -457,16 +471,25 @@ def test_search_after_another_equals_search_on_fresh_state():
         return (_search(path), path.nodes, path.steps, _leaf(path))
 
     rng = random.Random(0xF7E5)
+    cases = [(draw_feasible(rng, max_s=4, max_t=4, cap_max=3), 0) for _ in range(40)]
+    # Every search on an empty matching that passed the screen reaches a
+    # finish, so two infeasible instances come in after five units: row 0
+    # and column 0 hold all three of the other side, so row 1 (column 1)
+    # cannot get a third partner past the one of capacity 1, while row 2
+    # (column 2) still can.
+    cost = [[1, 1, 1], [1, 1, 1], [0, 0, 0]]
+    rows = inst(cost, [3, 3, 1], [3, 3, 3], [0, 0, 0], [3, 3, 1])
+    columns = inst([list(c) for c in zip(*cost)], [0, 0, 0], [3, 3, 1], [3, 3, 1], [3, 3, 3])
+    cases += [(rows, 5), (columns, 5)]
     firsts = set()
-    for _ in range(40):
-        fixture = draw_feasible(rng, max_s=4, max_t=4, cap_max=3)
-        state = SolverState(fixture)
-        roots = [v for v, d in enumerate((*fixture.a_demand, *fixture.b_demand)) if d]
+    for fixture, steps in cases:
+        state = _advanced(fixture, steps)
+        roots = [v for v in range(state.s + state.t) if state.matching.unmet(v)]
         for first in roots:
             for then in roots:
                 if then != first:
                     firsts.add(outcome(state, first)[0] == "stuck")
-                    assert outcome(state, then) == outcome(SolverState(fixture), then)
+                    assert outcome(state, then) == outcome(_advanced(fixture, steps), then)
     assert firsts == {True, False}
 
 
@@ -1087,7 +1110,7 @@ def _unit_start(cost):
     and the pairs the start placed."""
     n = len(cost)
     state = SolverState(inst(cost, [1] * n, [1] * n, [1] * n, [1] * n))
-    return state, solver_module._warm_start(state)
+    return state, solver_module._warm_start(state)[0]
 
 
 def test_bidding_round_takes_the_lowest_offer(monkeypatch):
@@ -1149,6 +1172,84 @@ def test_bidding_rounds_place_nearly_every_pair_on_wide_costs():
         cost = [[rng.randint(0, 10**6) for _ in range(300)] for _ in range(300)]
         state, placed = _unit_start(cost)
         assert placed >= 290, (seed, placed)
+
+
+def _unit_searches(monkeypatch):
+    """Each ``grow_forest`` call of the solves that follow, as
+    ``(root, terminal, settled nodes)``."""
+    original, searches = solver_module.grow_forest, []
+
+    def recording(state, root):
+        path = original(state, root)
+        searches.append((root, path.terminal, int(path.settled.sum())))
+        return path
+
+    monkeypatch.setattr(solver_module, "grow_forest", recording)
+    return searches
+
+
+def test_searches_root_at_free_columns_once_the_bidding_rounds_run_out(monkeypatch):
+    # These draws run all the bidding rounds and leave 6 or 7 rows free.
+    # Each remaining search roots at a free column, which no row bid for,
+    # and ends at a free row: about 300 settles per solve, where searches
+    # from the rows that lost the last price wars settled about 1,350.
+    optimize = pytest.importorskip("scipy.optimize")
+    searches = _unit_searches(monkeypatch)
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        cost = [[rng.randint(0, 10**6) for _ in range(300)] for _ in range(300)]
+        searches.clear()
+        asg, rep = solve_lca(inst(cost, [1] * 300, [1] * 300, [1] * 300, [1] * 300),
+                             observer=SolverState.check_dual_invariants)
+        c = np.array(cost)
+        rows, cols = optimize.linear_sum_assignment(c)
+        assert asg.total_cost == rep.dual_objective == int(c[rows, cols].sum())
+        assert searches and all(root >= 300 > end for root, end, _ in searches)
+        assert (rep.phase1_augmentations, rep.phase2_augmentations) == (rep.warm_start_pairs, len(searches))
+        assert sum(n for *_, n in searches) < 600, (seed, searches)
+
+
+def test_column_rooted_searches_match_the_flow_referee(monkeypatch):
+    # One bidding round leaves rows free on most small draws, so the
+    # searches root at the free columns; the largest costs sit at the edge
+    # of the exact domain, 2*n*n*C*(3n + 1) < 2**62.  Every label stays
+    # within K = (P + 2)*C, P = n, of the pool's.
+    monkeypatch.setattr(solver_module, "_BID_ROUNDS", 1)
+    searches = _unit_searches(monkeypatch)
+    rng = random.Random(0xC01F)
+    from_columns = 0
+    for cost_max in (0, 2, 20, 10**6, None):
+        for _ in range(250):
+            n = rng.randint(1, 9)
+            edge = (2**62 - 1) // (2 * n * n * (3 * n + 1))
+            fixture = draw_unit(rng, n, edge if cost_max is None else cost_max)
+            c_max = max(map(max, fixture.cost))
+            peak = []
+
+            def observe(state):
+                state.check_dual_invariants()
+                peak.append(int(np.abs(state.r).max()))
+
+            searches.clear()
+            asg, rep = solve_lca(fixture, observer=observe)
+            assert asg.total_cost == rep.dual_objective == solve_flow_reference(fixture).total_cost
+            assert max(peak, default=0) <= (n + 2) * c_max
+            from_columns += bool(searches) and searches[0][0] >= n
+            assert all((root >= n) == (searches[0][0] >= n) for root, *_ in searches)
+    assert from_columns >= 500, from_columns
+
+
+def test_searches_stay_at_the_rows_when_the_bidding_rounds_stall(monkeypatch):
+    # On tied costs the rounds stop early, placing nothing and lowering no
+    # q, and the rows stay the cheaper side to search from.
+    searches = _unit_searches(monkeypatch)
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        fixture = draw_unit(rng, 300, 20)
+        searches.clear()
+        _, rep = solve_lca(fixture)
+        assert searches and all(root < 300 <= end for root, end, _ in searches)
+        assert rep.phase2_augmentations == 0
 
 
 def _draw_row_demand_zero(rng, s, t, cost_max):
