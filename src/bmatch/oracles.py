@@ -135,14 +135,20 @@ def brute_force_optimum(inst: Instance) -> Assignment:
         raise InfeasibleInstanceError("no subset of pairs satisfies the degree bounds")
     for limb in limbs[::-1]:
         ok &= limb == limb[ok].min()
+    # Narrow the tied subsets to the least sorted pair tuple, cell by cell.
+    # At cell k all hold the same cells below k: one holding none from k on
+    # is a prefix of every other and wins; else those holding k come first.
     tied = np.flatnonzero(ok)
-    best = sum(int(limb[tied[0]]) << 31 * l for l, limb in enumerate(limbs))
-
-    def pairs_of(mask: int) -> tuple[tuple[int, int], ...]:
-        return tuple((k // t, k % t) for k in range(cells) if mask >> k & 1)
-
-    winner = min(pairs_of(int(m)) for m in tied)
-    asg = make_assignment(inst, winner)
+    for k in range(cells):
+        rest = tied >> k
+        if not rest.all():
+            tied = tied[rest == 0]
+            break
+        if (held := tied[rest & 1 == 1]).size:
+            tied = held
+    (winner,) = tied.tolist()
+    best = sum(int(limb[winner]) << 31 * l for l, limb in enumerate(limbs))
+    asg = make_assignment(inst, [divmod(k, t) for k in range(cells) if winner >> k & 1])
     report = check_assignment(inst, asg)
     if not report.feasible or report.recomputed_cost != best:
         raise InternalSolverError("enumeration produced an assignment failing its own check")
@@ -246,7 +252,10 @@ def _lower_bound_reduction(net: FlowNetwork) -> tuple[_Residual, int, int, int, 
     return res, super_source, super_sink, needed, handles
 
 
-def _bfs_max_flow(res: _Residual, src: int, dst: int) -> int:
+def _bfs_max_flow(res: _Residual, src: int, dst: int) -> tuple[int, set[int]]:
+    """Edmonds-Karp: the max flow, and the nodes its last search reached.
+    That search ends only when dst is out of reach, so it has visited
+    every node that a positive-residual path from src reaches."""
     total = 0
     while True:
         prev: dict[int, tuple[int, int] | None] = {src: None}
@@ -258,7 +267,7 @@ def _bfs_max_flow(res: _Residual, src: int, dst: int) -> int:
                     prev[arc[0]] = (u, idx)
                     queue.append(arc[0])
         if dst not in prev:
-            return total
+            return total, set(prev)
         hops: list[tuple[int, int]] = []
         v = dst
         while prev[v] is not None:
@@ -273,6 +282,19 @@ def _bfs_max_flow(res: _Residual, src: int, dst: int) -> int:
         total += push
 
 
+def _used_pairs(
+    inst: Instance, net: FlowNetwork, res: _Residual, handles: list[tuple[int, int]]
+) -> list[list[int]]:
+    """The pairs whose unit arc is full, as [i, j] in row-major order."""
+    pairs = []
+    for i in range(inst.s):
+        for j in range(inst.t):
+            u, idx = handles[net.pair_arc_offset + i * inst.t + j]
+            if res.adj[u][idx][1] == 0:
+                pairs.append([i, j])
+    return pairs
+
+
 def feasibility_check(inst: Instance) -> tuple[bool, dict]:
     """Exact feasibility via a max-flow test on the circulation encoding.
 
@@ -285,27 +307,11 @@ def feasibility_check(inst: Instance) -> tuple[bool, dict]:
         node, demand, capacity = over
         return False, {"kind": "bound", "node": node, "demand": demand, "capacity": capacity}
     res, super_source, super_sink, needed, handles = _lower_bound_reduction(net)
-    flowed = _bfs_max_flow(res, super_source, super_sink)
+    flowed, reach = _bfs_max_flow(res, super_source, super_sink)
     if flowed == needed:
-        pairs = []
-        for i in range(inst.s):
-            for j in range(inst.t):
-                u, idx = handles[net.pair_arc_offset + i * inst.t + j]
-                if res.adj[u][idx][1] == 0:  # unit arc fully used
-                    pairs.append([i, j])
-        return True, {"kind": "assignment", "pairs": pairs}
-    reach = {super_source}
-    queue = deque([super_source])
-    while queue:
-        u = queue.popleft()
-        for arc in res.adj[u]:
-            if arc[1] > 0 and arc[0] not in reach:
-                reach.add(arc[0])
-                queue.append(arc[0])
-    names = tuple(
-        sorted(net.nodes[v] if v < len(net.nodes) else "super-source" for v in reach)
-    )
-    return False, {"kind": "cut", "nodes": list(names), "unmet_demand": needed - flowed}
+        return True, {"kind": "assignment", "pairs": _used_pairs(inst, net, res, handles)}
+    names = sorted(net.nodes[v] if v < len(net.nodes) else "super-source" for v in reach)
+    return False, {"kind": "cut", "nodes": names, "unmet_demand": needed - flowed}
 
 
 def _dijkstra_min_cost_flow(
@@ -373,13 +379,7 @@ def solve_flow_reference(inst: Instance) -> Assignment:
         raise InfeasibleInstanceError(
             f"flow reference could not meet {needed - flowed} demand unit(s)"
         )
-    pairs = []
-    for i in range(inst.s):
-        for j in range(inst.t):
-            u, idx = handles[net.pair_arc_offset + i * inst.t + j]
-            if res.adj[u][idx][1] == 0:
-                pairs.append((i, j))
-    asg = make_assignment(inst, pairs)
+    asg = make_assignment(inst, _used_pairs(inst, net, res, handles))
     if asg.total_cost != flow_cost:  # lower-bounded arcs all cost 0
         raise InternalSolverError(
             f"flow accounting mismatch: path costs {flow_cost}, assignment {asg.total_cost}"
@@ -423,22 +423,17 @@ def random_instance(params: GenParams, rng) -> Instance:
         s = rng.randint(params.min_s, params.max_s)
         t = rng.randint(params.min_t, params.max_t)
         cost = [[rng.randint(0, params.cost_max) for _ in range(t)] for _ in range(s)]
+        a_cap = [rng.randint(1, min(params.cap_max, t)) for _ in range(s)]
+        b_cap = [rng.randint(1, min(params.cap_max, s)) for _ in range(t)]
         if params.demands_one:
-            a_cap = [rng.randint(1, min(params.cap_max, t)) for _ in range(s)]
-            b_cap = [rng.randint(1, min(params.cap_max, s)) for _ in range(t)]
-            a_dem = [1] * s
-            b_dem = [1] * t
+            a_dem, b_dem = [1] * s, [1] * t
             if attempt == 50:
-                a_cap = [t] * s
-                b_cap = [s] * t
+                a_cap, b_cap = [t] * s, [s] * t
         else:
-            a_cap = [rng.randint(1, min(params.cap_max, t)) for _ in range(s)]
-            b_cap = [rng.randint(1, min(params.cap_max, s)) for _ in range(t)]
             a_dem = [rng.randint(0, c) for c in a_cap]
             b_dem = [rng.randint(0, c) for c in b_cap]
             if attempt == 50:
-                a_dem = [0] * s
-                b_dem = [0] * t
+                a_dem, b_dem = [0] * s, [0] * t
         inst = Instance.from_lists(
             cost=cost, a_demand=a_dem, a_capacity=a_cap, b_demand=b_dem, b_capacity=b_cap
         )
@@ -461,18 +456,8 @@ class DiffRecord:
     fixture: str | None = None
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "trial": self.trial,
-                "digest": self.digest,
-                "costs": dict(self.costs),
-                "agree": self.agree,
-                "notes": list(self.notes),
-                "fixture": self.fixture,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        doc = dict(vars(self), costs=dict(self.costs), notes=list(self.notes))
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)

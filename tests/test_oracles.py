@@ -4,8 +4,11 @@ The oracles are the ground truth for everything else in the suite, so
 they get tested against hand-computed answers and against each other.
 """
 
+import hashlib
+import itertools
 import json
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -22,11 +25,35 @@ from bmatch.oracles import (
     random_instance,
     solve_flow_reference,
 )
-from conftest import draw_feasible
+from bmatch.model import instance_to_json
+from conftest import draw_feasible, draw_instance
 
 
 def inst(c, ad, ac, bd, bc):
     return Instance.from_lists(cost=c, a_demand=ad, a_capacity=ac, b_demand=bd, b_capacity=bc)
+
+
+def _literal_tie_rule(fixture):
+    """The tie rule as defined, by plain enumeration: the least sorted
+    pair tuple among the cheapest subsets that meet every bound, with
+    all of those cheapest subsets."""
+    cells = [(i, j) for i in range(fixture.s) for j in range(fixture.t)]
+    feasible = []
+    for n in range(len(cells) + 1):
+        for subset in itertools.combinations(cells, n):  # sorted tuples
+            rows = [sum(1 for i, _ in subset if i == r) for r in range(fixture.s)]
+            cols = [sum(1 for _, j in subset if j == c) for c in range(fixture.t)]
+            if all(lo <= d <= hi for d, lo, hi in zip(rows, fixture.a_demand, fixture.a_capacity)) and all(
+                lo <= d <= hi for d, lo, hi in zip(cols, fixture.b_demand, fixture.b_capacity)
+            ):
+                feasible.append((sum(fixture.cost[i][j] for i, j in subset), subset))
+    cheapest = min(cost for cost, _ in feasible)
+    tied = [subset for cost, subset in feasible if cost == cheapest]
+    return min(tied), tied
+
+
+def _mask(fixture, pairs):
+    return sum(1 << (i * fixture.t + j) for i, j in pairs)
 
 
 class TestCheckAssignment:
@@ -79,6 +106,39 @@ class TestBruteForce:
         asg = brute_force_optimum(inst([[0]], [0], [1], [0], [1]))
         assert asg.pairs == ()
         assert asg.total_cost == 0
+
+    def test_tie_rule_matches_its_definition(self):
+        # Cheap costs tie many subsets, so the rule decides most answers.
+        rng = random.Random(0x71E5)
+        prefix_ties = mask_order_differs = 0
+        for k in range(300):
+            max_s, max_t = ((4, 3), (3, 4), (2, 6), (6, 2))[k % 4]
+            fixture = draw_feasible(rng, max_s=max_s, max_t=max_t, cost_max=k % 2)
+            winner, tied = _literal_tie_rule(fixture)
+            assert brute_force_optimum(fixture).pairs == winner, fixture
+            prefix_ties += any(len(p) > len(winner) and p[: len(winner)] == winner for p in tied)
+            mask_order_differs += _mask(fixture, winner) != min(_mask(fixture, p) for p in tied)
+        # The corpus reaches a winner that is a prefix of another tied
+        # subset, and one that is not the tied subset of least bit mask.
+        assert prefix_ties >= 20 and mask_order_differs >= 20, (prefix_ties, mask_order_differs)
+
+    @pytest.mark.parametrize(
+        "a_demand, a_capacity, expected",
+        [
+            ([0] * 4, [5] * 4, ()),
+            ([1] * 4, [2] * 4, ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0))),
+        ],
+        ids=["empty", "prefix"],
+    )
+    def test_full_budget_all_tied(self, a_demand, a_capacity, expected):
+        # Cost 0 everywhere: every feasible subset of the 20 cells ties.
+        b_demand, b_capacity = [0] * 5, [4] * 5
+        fixture = inst([[0] * 5] * 4, a_demand, a_capacity, b_demand, b_capacity)
+        started = time.perf_counter()
+        asg = brute_force_optimum(fixture)
+        elapsed = time.perf_counter() - started
+        assert asg.pairs == expected and asg.total_cost == 0
+        assert elapsed < 1.0, elapsed
 
     def test_infeasible_raises(self):
         with pytest.raises(InfeasibleInstanceError):
@@ -157,13 +217,13 @@ class TestFeasibilityCheck:
         )
         ok, cert = feasibility_check(fixture)
         assert not ok
-        assert cert["kind"] == "cut"
-        assert cert["unmet_demand"] >= 1
-        assert cert["nodes"]  # nonempty reachable set
+        # Rows 0 and 1 reach only column 2, whose capacity is 1.
+        assert cert == {"kind": "cut", "nodes": ["a0", "a1", "b2", "super-source"], "unmet_demand": 1}
 
     def test_aggregate_shortfall(self):
         ok, cert = feasibility_check(inst([[1, 1]], [2], [2], [0, 0], [0, 0]))
-        assert not ok and cert["kind"] == "cut"
+        assert not ok
+        assert cert == {"kind": "cut", "nodes": ["a0", "b0", "b1", "super-source"], "unmet_demand": 2}
 
 
 class TestFlowReference:
@@ -290,3 +350,45 @@ def test_three_way_agreement_on_random_instances(rng):
             assert got.total_cost == brute.total_cost, fixture
             hits += 1
     assert hits > 100
+
+
+def _referee_answer(referee, fixture):
+    """A referee's pairs and cost, or its error's type and message."""
+    try:
+        asg = referee(fixture)
+    except ValueError as err:  # InfeasibleInstanceError included
+        return [type(err).__name__, str(err)]
+    return [[list(p) for p in asg.pairs], asg.total_cost]
+
+
+# sha256 of the referees' verdicts on the seeded corpus below: every
+# feasibility_check record (witness, bound or cut), every
+# solve_flow_reference and brute_force_optimum answer or error, then the
+# canonical text of random_instance draws, the last shape of which is
+# never feasible before the attempt-50 fallback.  The referees are the
+# ground truth for the rest of the suite, so a change to how they reach
+# a verdict must leave it as it is.
+PINNED_REFEREE_RECORDS = "1ec5c6482d993c36794b59eab08408a10ea012fb64360978c5e42eb6239a3a16"
+
+
+def test_referee_records_are_pinned():
+    rng = random.Random(0x0AC1E5)
+    cost_maxima = (0, 1, 2, 9, 10**6)
+    records = []
+    for k in range(640):
+        fixture = draw_instance(rng, max_s=5, max_t=4, cost_max=cost_maxima[k % 5], demands_one=k % 4 == 3)
+        records.append(
+            [
+                list(feasibility_check(fixture)),
+                _referee_answer(solve_flow_reference, fixture),
+                _referee_answer(brute_force_optimum, fixture),
+            ]
+        )
+    assert {verdict["kind"] for (_, verdict), *_ in records} == {"assignment", "cut"}
+    fallback = GenParams(max_s=2, min_t=3, max_t=3, cap_max=1, demands_one=True)
+    for params in (GenParams(), GenParams(demands_one=True), fallback):
+        draws = [random_instance(params, rng) for _ in range(300)]
+        records.append([instance_to_json(fixture) for fixture in draws])
+    assert all(fixture.a_capacity == (3,) * fixture.s for fixture in draws)
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == PINNED_REFEREE_RECORDS, digest
