@@ -75,7 +75,9 @@ class Instance:
     Construction is deliberately permissive: inconsistent shapes or bad
     bounds are representable so that ``validate_instance`` can report on
     them.  Every solver entry point normalizes and validates first.
-    ``costs`` is ``cost`` as a read-only int64 array, built once on first read (OverflowError beyond int64).
+    ``costs`` is ``cost`` as a read-only int64 array, built once on first read (OverflowError beyond int64):
+    rows of one width in one ``np.fromiter`` pass over their entries, anything else by ``np.array``,
+    so either way the array, or the type of the exception, is ``np.array(cost, dtype=np.int64)``'s.
     ``instance_from_json`` fills ``costs`` from canonical text; ``cost`` is then built on first read.
     ``digest`` is ``instance_digest``'s value, computed once; ``instance_from_json`` fills it from canonical text.
     """
@@ -112,7 +114,12 @@ class Instance:
 
     @cached_property
     def costs(self) -> np.ndarray:
-        costs = np.array(self.cost, dtype=np.int64)
+        rows = self.cost
+        try:
+            (t,) = set(map(len, rows))
+            costs = np.fromiter(chain.from_iterable(rows), np.int64, len(rows) * t).reshape(len(rows), t)
+        except (TypeError, ValueError):  # no rows, rows of unequal width or none, or an entry np.array reads otherwise
+            costs = np.array(rows, dtype=np.int64)
         costs.flags.writeable = False
         return costs
 
@@ -190,7 +197,9 @@ def _screen_rows(inst: Instance, out: list[str]) -> bool:
     """``_screen`` for the cost rows.  The verdict takes C-speed passes over
     the row lengths, the entry types and the minimum of ``costs``; the rows
     are walked one by one only to name what fails, or to pass int
-    subclasses and costs beyond int64."""
+    subclasses and costs beyond int64.  Once every row has length t, the
+    s * t entries are all plain ints exactly when ``countOf`` finds s * t
+    of them whose type is ``int``."""
     try:
         if len(inst.cost) != inst.s:
             out.append(f"shape: cost has {len(inst.cost)} rows, expected {inst.s}")
@@ -199,7 +208,8 @@ def _screen_rows(inst: Instance, out: list[str]) -> bool:
         out.append("shape: cost is not a sequence")
         return False
     try:
-        fast = set(map(len, inst.cost)) == {inst.t} and set(map(type, chain.from_iterable(inst.cost))) <= {int}
+        fast = set(map(len, inst.cost)) == {inst.t}
+        fast = fast and operator.countOf(map(type, chain.from_iterable(inst.cost)), int) == inst.s * inst.t
         fast = fast and inst.costs.min() >= 0
     except (TypeError, OverflowError):
         fast = False

@@ -787,22 +787,27 @@ def _warm_start(state: SolverState) -> tuple[int, bool]:
     # Column reduction matches the only row when n == 1, so a bidder always
     # has a runner-up column.
     capped = False
+    starts = np.ones(n, dtype=bool)  # starts[:k]: where a target's bids start among k sorted bids
     for _ in range(_BID_ROUNDS):
         free = np.flatnonzero(col_of < 0)
-        if not free.size:
+        k = free.size
+        if not k:
             break
-        h = c[free]  # the one |free| x n scratch array of a round
+        h = c[free]  # the one k x n scratch array of a round, read and written flat
         h -= q
-        at = np.arange(free.size)
+        flat, at = h.reshape(-1), np.arange(0, k * n, n)
         j1 = h.argmin(axis=1)
-        u1 = h[at, j1]
-        h[at, j1] = INF
+        f1 = at + j1
+        u1 = flat[f1]
+        flat[f1] = INF
         j2 = h.argmin(axis=1)
-        gap = h[at, j2] - u1
+        gap = flat[at + j2] - u1
         target = np.where((gap > 0) | (row_of[j1] < 0), j1, j2)
         offer = q[target] - gap
         order = np.lexsort((offer, target))  # stable: ties go to the lowest row
-        first = order[np.flatnonzero(np.diff(target[order], prepend=-1))]
+        bids = target[order]
+        np.not_equal(bids[1:], bids[:-1], out=starts[1:k])
+        first = order[starts[:k]]
         won, cols, offer = free[first], target[first], offer[first]
         holder = row_of[cols]
         held = holder >= 0
@@ -955,21 +960,28 @@ def _prune_unneeded_pairs(state: SolverState) -> int:
     return removed
 
 
-def _check_output(state: SolverState) -> None:
-    """The last fault check on a solve's pruned matching.
+def _check_output(state: SolverState) -> tuple[np.ndarray, np.ndarray]:
+    """The last fault check on a solve's pruned matching, which it returns
+    as ``_mask_pairs(matched)``, read once.
 
     The degree counters must equal the row and column sums of
     ``matched``, every degree must lie within its vertex's bounds, and no
-    matched pair may be above demand on both of its sides.
+    matched pair may be above demand on both of its sides; the first such
+    pair named is the first in row-major order.
     """
-    m = state.matching
-    if np.any(np.concatenate((m.matched.sum(axis=1), m.matched.sum(axis=0))) != m.deg):
+    m, s = state.matching, state.s
+    rows, cols = _mask_pairs(m.matched)
+    ys = cols + s
+    if np.any(np.bincount(np.concatenate((rows, ys)), minlength=len(m.deg)) != m.deg):
         raise InternalSolverError("degree counters disagree with the matched pairs")
     if np.any((m.deg < m.demand) | (m.deg > m.capacity)):
         raise InternalSolverError("a vertex degree is outside its bounds")
-    rows, cols = _mask_pairs(m.droppable())
-    if rows.size:
-        raise InternalSolverError(f"pair ({rows[0]}, {cols[0]}) is above demand on both sides")
+    above = m.deg > m.demand
+    both = np.flatnonzero(above[rows] & above[ys])
+    if both.size:
+        k = both[0]
+        raise InternalSolverError(f"pair ({rows[k]}, {cols[k]}) is above demand on both sides")
+    return rows, cols
 
 
 def _solve(
@@ -1013,8 +1025,8 @@ def _solve(
             f"dual objective {dual} does not certify the matched cost {cost}"
         )
     pruned = _prune_unneeded_pairs(state)
-    _check_output(state)
-    assignment = Assignment(pairs=m.pairs, total_cost=cost)
+    rows, cols = _check_output(state)
+    assignment = Assignment(pairs=tuple(zip(rows.tolist(), cols.tolist())), total_cost=cost)
 
     report = SolveReport(
         algorithm=algorithm,

@@ -14,6 +14,7 @@ from bmatch import (
     InfeasibleInstanceError,
     Instance,
     SolverState,
+    ValidationReport,
     assignment_cost,
     instance_to_json,
     make_assignment,
@@ -241,6 +242,55 @@ def test_a_replaced_cost_matrix_gets_its_own_array():
     fixture = inst([[1, 2]], [0], [2], [0, 0], [1, 1])
     assert fixture.costs.tolist() == [[1, 2]]
     assert replace(fixture, cost=((5, 6),)).costs.tolist() == [[5, 6]]
+
+
+_BAD = "is not a non-negative integer"
+
+
+@pytest.mark.parametrize(
+    "rows, violations",
+    [
+        (((4, 1, 3), (2, 0, 5)), ()),
+        (((4, 1, 3), (2, 0)), ("shape: cost row 1 has length 2, expected 3",)),
+        (((), ()), ("shape: cost row 0 has length 0, expected 3", "shape: cost row 1 has length 0, expected 3")),
+        ((), ("shape: cost has 0 rows, expected 1",)),
+        (((4, 1, 3), 5), ("shape: cost row 1 is not a sequence",)),
+        (((0, 0, 0), (0, 0, 0)), ()),
+        (((2**63 - 1, 1, 3), (2, 0, 5)), ()),
+        (((4, 1, 3), (2, 2**63, 5)), ()),
+        (((4, 1, 3), (2, -2**63 - 1, 5)), (f"type: cost[1][1] = {-2**63 - 1} {_BAD}",)),
+        (((4, True, 3), (2, 0, 5)), (f"type: cost[0][1] = True {_BAD}",)),
+        (((4, 1, _Cost.THREE), (2, 0, 5)), ()),
+        (((4, 1, 3), (np.int64(2), 0, 5)), (f"type: cost[1][0] = np.int64(2) {_BAD}",)),
+        (((4, 1, 3), (2, 1.5, 5)), (f"type: cost[1][1] = 1.5 {_BAD}",)),
+        (((4, "3", 3), (2, 0, 5)), (f"type: cost[0][1] = '3' {_BAD}",)),
+        (((4, 1, 3), (2, None, 5)), (f"type: cost[1][1] = None {_BAD}",)),
+        (((4, (1,), 3), (2, 0, 5)), (f"type: cost[0][1] = (1,) {_BAD}",)),
+    ],
+    ids=[
+        "one-width", "unequal-widths", "width-0", "no-rows", "lengthless-row", "zero", "int64-max",
+        "2**63", "-2**63-1", "bool", "IntEnum", "numpy-int", "float", "str", "None", "sequence-entry",
+    ],
+)
+def test_the_conversion_gives_what_np_array_gives(rows, violations):
+    # Rows of one width are read entry by entry; the array, or the type of
+    # the exception, must be np.array's over the rows.  The reports are the
+    # screen's before the conversion read rows entry by entry.
+    s = max(len(rows), 1)
+    fixture = Instance(
+        s=s, t=3, cost=rows, a_demand=(0,) * s, a_capacity=(3,) * s, b_demand=(0,) * 3, b_capacity=(s,) * 3
+    )
+    try:
+        expected = np.array(rows, dtype=np.int64)
+    except Exception as err:  # noqa: BLE001 - the type is what must match
+        with pytest.raises(type(err)) as raised:
+            fixture.costs
+        assert type(raised.value) is type(err)
+    else:
+        costs = fixture.costs
+        assert (costs.dtype, costs.shape, costs.tolist()) == (expected.dtype, expected.shape, expected.tolist())
+        assert not costs.flags.writeable
+    assert validate_instance(fixture) == ValidationReport(not violations, violations)
 
 
 def _loop_cost(fixture, pairs):

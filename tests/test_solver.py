@@ -1174,6 +1174,30 @@ def test_bidding_rounds_place_nearly_every_pair_on_wide_costs():
         assert placed >= 290, (seed, placed)
 
 
+# sha256 of each warm start of the seeded corpus below: ``_warm_start``'s
+# pairs and capped flag, the start's ``r`` and the flat indices of its
+# matched pairs.  The two 300x300 draws at cost maximum 10**6 run all
+# ``_BID_ROUNDS`` rounds, the three at 20, 3 and 0 stall on ties, and the
+# small draws stop with every row matched, so every way out of the rounds
+# is pinned bid for bid.  The PINNED_UNIT_* corpora stop at n = 9 and
+# never reach the cap.
+PINNED_WARM_STARTS = "4fa9f51c970accd309aa907e01f396bcb43c78ec1b7f16bd77757e9e12f757fd"
+
+
+def test_warm_starts_are_pinned():
+    rng = random.Random(0x8105)
+    fixtures = [draw_unit(rng, 300, cost_max) for cost_max in (10**6, 10**6, 20, 3, 0)]
+    fixtures += [draw_unit(rng, rng.randint(1, 12), rng.choice((0, 1, 3, 20, 10**6))) for _ in range(300)]
+    records = []
+    for fixture in fixtures:
+        state = SolverState(fixture)
+        placed, capped = solver_module._warm_start(state)
+        records.append([placed, capped, state.r.tolist(), np.flatnonzero(state.matching.matched).tolist()])
+    assert [capped for _, capped, *_ in records[:5]] == [True, True, False, False, False]
+    assert all(placed < 300 for placed, *_ in records[:5])
+    assert _digest(records) == PINNED_WARM_STARTS, _digest(records)
+
+
 def _unit_searches(monkeypatch):
     """Each ``grow_forest`` call of the solves that follow, as
     ``(root, terminal, settled nodes)``."""
