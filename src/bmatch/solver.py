@@ -495,10 +495,12 @@ def grow_forest(state: SolverState, root: int) -> AugmentingPath:
     finish takes the arc its relax recorded, from the pool's parent (any
     shortest path will do: the dual update reads distances only).  When
     that tie check's pick is a row the pool fed (a row root with no park
-    budget left), every side-X node at its distance settles in one step:
-    the lowest short column any of them is tight to finishes, from the
-    lowest row tight to it; else one ``(k, ny)`` min/argmin relaxes side
-    Y, the lowest row winning ties as it does settling one at a time.
+    budget left), every side-X node at its distance settles in one step,
+    and one ``(k, ny)`` min/argmin relaxes side Y, the lowest row winning
+    ties as it does settling one at a time.  That step decides no finish
+    of its own: the next pick's tie check ends the search at the lowest
+    short column the step put at that distance, from argmin's first row
+    at that minimum, the lowest row tight to it.
     Raises ``InfeasibleInstanceError`` when no finish is reachable, with
     the reached vertex set as certificate.
 
@@ -595,22 +597,15 @@ def grow_forest(state: SolverState, root: int) -> AugmentingPath:
                 dist[ids] = dv
                 cand[ids] = INF
                 unsettled[ids] = False
-                tight = g[np.ix_(xs, short)] - ry[short] == rx[xs][:, None]
-                hit = tight.any(axis=0)
-                if not hit.any():
-                    # One relax of side Y; argmin takes the first of
-                    # tied rows, the one the one-node order settles first.
-                    nd = g[xs] - ry
-                    nd += (dv - rx[xs])[:, None]
-                    best = nd.argmin(axis=0)
-                    relax(on_y, nd[best, np.arange(ny)], ids[best])
-                    level = -1  # no short column at dv, and the pool is settled
-                    continue
-                # A tight arc to a short column: the lowest such column
-                # finishes, reached from the lowest row tight to it.
-                k = int(hit.argmax())
-                v = y0 + int(short[k])
-                parent[v] = ids[tight[:, k].argmax()]
+                # One relax of side Y; argmin takes the first of tied
+                # rows, the one the one-node order settles first.  Level
+                # stays at dv: the next pick's tie check finishes at a
+                # short column this relax put at dv.
+                nd = g[xs] - ry
+                nd += (dv - rx[xs])[:, None]
+                best = nd.argmin(axis=0)
+                relax(on_y, nd[best, np.arange(ny)], ids[best])
+                continue
         if settles > pool:
             raise InternalSolverError(over_cap)
         settles += 1
@@ -1018,14 +1013,15 @@ def _solve(
     if np.any(m.deg - m.extra != m.demand):
         raise InternalSolverError("phases ended with unmet demand")
 
-    cost = int(m.cost[m.matched].sum())
+    pruned = _prune_unneeded_pairs(state)
+    rows, cols = _check_output(state)
+    # The dual certifies the pairs the assignment returns.
+    cost = int(m.cost[rows, cols].sum())
     dual = state.dual_objective()
     if dual != cost:
         raise InternalSolverError(
             f"dual objective {dual} does not certify the matched cost {cost}"
         )
-    pruned = _prune_unneeded_pairs(state)
-    rows, cols = _check_output(state)
     assignment = Assignment(pairs=tuple(zip(rows.tolist(), cols.tolist())), total_cost=cost)
 
     report = SolveReport(

@@ -6,6 +6,7 @@ strategy, so they are frozen verbatim.
 """
 
 import hashlib
+import heapq
 import json
 import random
 import types
@@ -797,8 +798,22 @@ def test_searches_are_pinned(monkeypatch):
 # test_relax_branches_cover_every_partner_count, recorded as
 # test_searches_are_pinned records them.  A search whose settled side-Y
 # nodes all relaxed side X through a full column of the lifted matrix
-# gave this same digest.
-PINNED_BRANCH_SEARCHES = "c21b24e9b4d4fd12ef1a2b17a7f54dc88f12493bfae2260a9e3119b488a39bbc"
+# gave this same digest.  PINNED_BRANCH_SEARCHES last moved when the
+# step that settles the rows the pool fed stopped deciding a finish of
+# its own and always relaxed side Y: 4 of the corpus's 433 searches
+# changed, each only in the dist and parent of nodes it left unsettled.
+# Every root, path, terminal and settled set stayed as it was, and
+# PINNED_BRANCH_OUTPUTS kept its value.
+PINNED_BRANCH_SEARCHES = "2f6581188fdf7022a29c878a81b684ba9782b3a64d01c2afdbd37dda11cdba7a"
+
+
+def _branch_fixtures():
+    """The seeded corpus of both branch pins: general bounds, then rows
+    of demand 0."""
+    rng = random.Random(0xDE6)
+    fixtures = [_draw_bounds(rng, rng.randint(2, 8), rng.randint(2, 8), (2, 20)[k % 2]) for k in range(200)]
+    fixtures += [_draw_row_demand_zero(rng, rng.randint(4, 10), rng.randint(2, 6), (2, 20)[k % 2]) for k in range(100)]
+    return fixtures
 
 
 def test_relax_branches_cover_every_partner_count(monkeypatch):
@@ -828,16 +843,33 @@ def test_relax_branches_cover_every_partner_count(monkeypatch):
         return path
 
     monkeypatch.setattr(solver_module, "grow_forest", counting)
-    rng = random.Random(0xDE6)
-    fixtures = [_draw_bounds(rng, rng.randint(2, 8), rng.randint(2, 8), (2, 20)[k % 2]) for k in range(200)]
-    fixtures += [_draw_row_demand_zero(rng, rng.randint(4, 10), rng.randint(2, 6), (2, 20)[k % 2]) for k in range(100)]
-    for fixture in fixtures:
+    for fixture in _branch_fixtures():
         try:
             solve_ga(fixture)
         except ValueError:  # InfeasibleInstanceError included
             pass
     assert min(counts.values()) >= 50, counts
     assert _digest(records) == PINNED_BRANCH_SEARCHES, _digest(records)
+
+
+# sha256 of each solve of the same corpus: its pairs, total cost, dual
+# objective and dual-update count, or its error's type and message.  A
+# change that moves only PINNED_BRANCH_SEARCHES's search arrays leaves it
+# as it is.
+PINNED_BRANCH_OUTPUTS = "409a48f7197be22625dbf130e1b2baefc9e8523828f31460874ade9974188756"
+
+
+def test_branch_outputs_are_pinned():
+    records = []
+    for fixture in _branch_fixtures():
+        try:
+            asg, rep = solve_ga(fixture)
+        except ValueError as err:  # InfeasibleInstanceError included
+            records.append([type(err).__name__, str(err)])
+            continue
+        pairs = [[int(i), int(j)] for i, j in asg.pairs]
+        records.append([pairs, int(asg.total_cost), int(rep.dual_objective), int(rep.dual_updates)])
+    assert _digest(records) == PINNED_BRANCH_OUTPUTS, _digest(records)
 
 
 class TestRuntimeInvariants:
@@ -1816,6 +1848,139 @@ def test_rows_the_pool_feeds_relax_each_column_from_the_lowest_row_at_its_minimu
     assert f.parent[4:] == (0, 2, 1, 4)  # columns 0 to 2, then the pool
     assert path.nodes == (0, 4, 7, 2, 5)
     assert path.steps == (("match", 0, 0), ("park", 0), ("feed", 2), ("match", 2, 1))
+
+
+def test_rows_the_pool_feeds_finish_at_the_lowest_short_column_any_of_them_reaches():
+    # Fed row 1 is tight only to short column 2 and fed row 2 only to
+    # short column 1.  The step that settles both finishes nothing: its
+    # relax puts both columns at 0, and the tie check then takes column 1,
+    # the lower, from row 2.  Column 2 stays unsettled, at 0 from row 1.
+    fixture = inst([[0, 5, 5], [9, 9, 0], [9, 0, 9]], [1, 0, 0], [1] * 3, [0, 1, 1], [1] * 3)
+    path = grow_forest(SolverState(fixture), 0)
+    f = _search(path)
+    assert (f.terminal, f.terminal_dist, sum(f.settled), f.parent[4]) == (4, 0, 6, 2)
+    assert f.settled[1:3] == (True, True) and f.parent[1:3] == (6, 6)
+    assert (f.settled[5], f.dist[5], f.parent[5]) == (False, 0, 1)
+    assert path.nodes == (0, 3, 6, 2, 4) and _leaf(path) == ("b", 1)
+    assert path.steps == (("match", 0, 0), ("park", 0), ("feed", 2), ("match", 2, 1))
+
+
+def _reference_search(state, root):
+    """A plain heap Dijkstra from node ``root`` over the residual graph,
+    in reduced costs, that settles a finish without relaxing from it.
+    Returns the distances it reached and the finishes: the far side's
+    short nodes, and the pool where the park budget is left or the root
+    is a column."""
+    m, s, t = state.matching, state.s, state.t
+    pool = s + t
+    forward = root < s
+    side_x = range(s) if forward else range(s, pool)
+    side_y = range(s, pool) if forward else range(s)
+    cost, matched, r = m.cost.tolist(), m.matched.tolist(), state.r.tolist()
+    extra, surplus = m.extra.tolist(), m.surplus.tolist()
+    finishes = {y for y in side_y if m.deg[y] - extra[y] < m.demand[y]}
+    if m.parks_left > 0 or not forward:
+        finishes.add(pool)
+
+    def pair(x, y):
+        i, j = (x, y - s) if forward else (y, x - s)
+        return cost[i][j], matched[i][j]
+
+    def arcs(u):
+        if u == pool:
+            yield from ((x, r[x]) for x in side_x if extra[x] < surplus[x])
+            yield from ((y, -r[y]) for y in side_y if extra[y] > 0)
+        elif u in side_x:
+            for y in side_y:
+                c, on = pair(u, y)
+                if not on:
+                    yield y, c - r[u] - r[y]
+            if extra[u] > 0:
+                yield pool, -r[u]
+        else:
+            for x in side_x:
+                c, on = pair(x, u)
+                if on:
+                    yield x, r[x] + r[u] - c
+            if extra[u] < surplus[u]:
+                yield pool, r[u]
+
+    dist, done, heap = {root: 0}, set(), [(0, root)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        if u in finishes:
+            continue
+        for v, w in arcs(u):
+            assert w >= 0, (root, u, v, w)
+            if d + w < dist.get(v, INF):
+                dist[v] = d + w
+                heapq.heappush(heap, (d + w, v))
+    return dist, finishes
+
+
+def test_searches_agree_with_a_reference_dijkstra(monkeypatch):
+    # Every node a search settles has the reference distance, and the
+    # search ends at a finish that no other finish beats.  A stuck search
+    # must leave every finish unreached.  The corpus mixes general draws,
+    # tie-heavy draws whose park budget runs out, so that the pool feeds
+    # rows, and all-unit draws whose one bidding round leaves the
+    # searches to the free columns.  grow_forest calls np.arange only in
+    # the step that settles the rows the pool fed, which counts them.
+    original = solver_module.grow_forest
+    counts = {"row": 0, "col": 0, "all-unit col": 0, "stuck": 0, "fed steps": 0}
+
+    class CountingNumpy:
+        inside = False
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def arange(self, *args, **kwargs):
+            counts["fed steps"] += self.inside
+            return np.arange(*args, **kwargs)
+
+    counting = CountingNumpy()
+
+    def checked(state, root):
+        want, finishes = _reference_search(state, root)
+        counting.inside = True
+        try:
+            path = original(state, root)
+        except InfeasibleInstanceError:
+            assert not finishes & want.keys(), (root, want, finishes)
+            counts["stuck"] += 1
+            raise
+        finally:
+            counting.inside = False
+        f = _search(path)
+        assert all(f.dist[v] == want[v] for v, done in enumerate(f.settled) if done), (root, f, want)
+        assert f.terminal in finishes, (root, f.terminal, finishes)
+        assert min(want[v] for v in finishes & want.keys()) == f.terminal_dist, (root, f, want)
+        counts[f.orientation] += 1
+        m = state.matching
+        counts["all-unit col"] += f.orientation == "col" and bool((m.demand == 1).all() and (m.capacity == 1).all())
+        return path
+
+    monkeypatch.setattr(solver_module, "grow_forest", checked)
+    monkeypatch.setattr(solver_module, "np", counting)
+    monkeypatch.setattr(solver_module, "_BID_ROUNDS", 1)
+    rng = random.Random(0x5EF)
+    fixtures = [draw_instance(rng, max_s=7, max_t=7, cost_max=(0, 1, 2, 20)[k % 4],
+                              cap_max=rng.randint(1, 4)) for k in range(1000)]
+    while len(fixtures) < 1700:
+        fixture = draw_instance(rng, max_s=7, max_t=7, cost_max=len(fixtures) % 3, cap_max=rng.randint(1, 4))
+        if sum(fixture.a_demand) <= sum(fixture.b_demand):
+            fixtures.append(fixture)
+    fixtures += [draw_unit(rng, rng.randint(1, 9), (0, 2, 20)[k % 3]) for k in range(400)]
+    for fixture in fixtures:
+        try:
+            solve_ga(fixture)
+        except ValueError:  # InfeasibleInstanceError included
+            pass
+    assert min(counts.values()) >= 5 and counts["fed steps"] >= 20 and counts["all-unit col"] >= 200, counts
 
 
 def test_tie_heavy_instances_without_park_budget_settle_fed_rows_together(monkeypatch):

@@ -39,11 +39,12 @@ def test_traced_solve_records_every_solver_layer():
     assert bmatch.solver.grow_forest is grow_forest
 
     spans = tracer.solve_breakdown(0)
-    # The tracer also wraps solver.build_expanded_graph, which a solve
-    # never calls (only reading SolverState.graph builds the copy view), and
-    # solver.project_matching and CapacitatedMatching.copy_pairs, which
-    # are gone from the solve (the answer is read off the matched
-    # matrix): those are known stale targets and record nothing.
+    # The tracer also wraps solver.build_expanded_graph, which is gone
+    # with the copy view (SolverState.graph now holds only the instance
+    # and its cost→weight transform), and solver.project_matching and
+    # CapacitatedMatching.copy_pairs, which are gone from the solve (the
+    # answer is read off the matched matrix): those are known stale
+    # targets and record nothing.
     for name in (
         "model.normalize_instance",
         "solver.grow_forest",
